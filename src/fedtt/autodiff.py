@@ -3,7 +3,8 @@
 Tape-based: every op returns a Tensor holding its parents and a vjp
 closure; ``backward`` walks the tape once in reverse topological order.
 Gradients are accumulated for every leaf; callers read the ones they care
-about.  All math is float64.
+about.  An interior node's grad is dropped once its vjp has run, so the
+pass never holds every activation's grad at once.  All math is float64.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class Tensor:
                     parent.grad = g
                 else:
                     parent.grad = parent.grad + g
+            if node.parents:
+                node.grad = None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -166,18 +169,22 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor(out, (table,), vjp)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy of (B, C) logits against integer labels."""
+def cross_entropy(logits: Tensor, labels: np.ndarray, reduce: bool = True) -> Tensor:
+    """Mean softmax cross-entropy of (B, C) logits against integer labels.
+
+    With ``reduce`` False the result is the (B,) vector of per-row losses,
+    and its vjp scales each row's p - onehot by that row's incoming grad.
+    """
     z = logits.data
     b = z.shape[0]
     shifted = z - z.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + z.max(axis=-1)
-    loss = (logsumexp - z[np.arange(b), labels]).mean()
+    rows = logsumexp - z[np.arange(b), labels]
 
     def vjp(g):
         p = np.exp(shifted)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(b), labels] -= 1.0
-        return (g * p / b,)
+        return (g * p / b,) if reduce else (g[:, None] * p,)
 
-    return Tensor(loss, (logits,), vjp)
+    return Tensor(rows.mean() if reduce else rows, (logits,), vjp)

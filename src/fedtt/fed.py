@@ -15,6 +15,7 @@ stream and final parameters are identical regardless of worker count.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 
 from .data import Corpus, PartitionSpec, generate_corpus, partition
 from .errors import NumericalError
-from .nn import AdamW, ModelConfig, ParamMeta, ToyModel, adamw_step, get_pretrained_backbone
+from .nn import AdamW, ModelConfig, ParamMeta, ToyModel, get_pretrained_backbone
 from .privacy import DPConfig, dp_batch_gradient, noise_multiplier
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,7 +88,6 @@ class TrainableSelection:
 
     algorithm: str
     round_index: int
-    head_trainable: bool = True
 
     def unfrozen_factors(self, chain_length: int) -> frozenset[int]:
         """1-based core indices unfrozen for a chain of this length."""
@@ -195,8 +195,11 @@ class ClientState:
         return self.tokens[idx], self.labels[idx]
 
 
-def _flatten(grads: Mapping[str, np.ndarray], names: Sequence[str]) -> np.ndarray:
-    return np.concatenate([grads[n].ravel() for n in names])
+def _flatten_rows(
+    grads: Mapping[str, np.ndarray], names: Sequence[str], rows: int
+) -> np.ndarray:
+    """(rows, P): each row one sample's grads, raveled in ``names`` order."""
+    return np.concatenate([grads[n].reshape(rows, -1) for n in names], axis=1)
 
 
 def _unflatten(
@@ -236,14 +239,14 @@ def local_update(
     for _ in range(fed_cfg.local_updates):
         tok, lab = client.next_batch(fed_cfg.batch_size)
         if dp_cfg is not None and dp_cfg.enabled:
-            per_sample = []
-            step_losses = []
-            for i in range(len(lab)):
-                li, gi = model.loss_and_grads(tok[i : i + 1], lab[i : i + 1], name_set)
-                per_sample.append(_flatten(gi, names))
-                step_losses.append(li)
+            # One batched pass gives every sample's loss and grads; clipping
+            # and noise then act on the (B, P) matrix of per-sample grads.
+            step_losses, per_sample = model.loss_and_grads(
+                tok, lab, name_set, per_sample=True
+            )
             flat = dp_batch_gradient(
-                np.stack(per_sample), dp_cfg.clip, client.sigma, client.dp_rng
+                _flatten_rows(per_sample, names, len(lab)),
+                dp_cfg.clip, client.sigma, client.dp_rng,
             )
             grads = _unflatten(flat, names, {n: params[n].shape for n in names})
             loss = float(np.mean(step_losses))
@@ -253,7 +256,7 @@ def local_update(
             raise NumericalError(
                 f"client {client.client_id}: non-finite training loss"
             )
-        adamw_step(client.optimizer, params, grads, names)
+        client.optimizer.step(params, grads, names)
         losses.append(loss)
     return {n: params[n].copy() for n in names}, float(np.mean(losses))
 
@@ -325,6 +328,14 @@ class FederatedRunner:
         self.server_params = self.template.get_trainables()
         self.adapter_chain = self.template.adapter_chain_length
         select_trainable(1, self.adapter_chain, fc.algorithm)  # fail fast
+        if fc.algorithm == "fedtt_plus" and self.adapter_chain == 3:
+            warnings.warn(
+                "fedtt_plus on 3-core adapter chains trains every core, so it "
+                "is the same algorithm as fedtt; a larger model.bottleneck "
+                "gives longer chains",
+                UserWarning,
+                stacklevel=2,
+            )
 
         spec = PartitionSpec(cfg.data.partition, fc.num_clients, cfg.data.proportions)
         shards = partition(self.train_corpus, spec, part_ss)

@@ -26,10 +26,7 @@ __all__ = [
     "DenseAdapter",
     "linear_forward",
     "linear_backward",
-    "adapter_forward",
-    "dense_adapter_forward",
     "AdamW",
-    "adamw_step",
     "ModelConfig",
     "ParamMeta",
     "ToyModel",
@@ -42,6 +39,13 @@ ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(np.float64)),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
 }
+
+
+def _row_sum(g: np.ndarray, groups: int | None) -> np.ndarray:
+    """Bias gradient: the sum over rows, or per group of consecutive rows."""
+    if groups is None:
+        return g.sum(axis=0)
+    return g.reshape(groups, -1, g.shape[-1]).sum(axis=1)
 
 
 class TensorizedLinear:
@@ -191,32 +195,31 @@ class TensorizedAdapter:
         return self.forward_cached(np.asarray(h, dtype=np.float64))[0]
 
     def backward(
-        self, cache: tuple, dy: np.ndarray
+        self, cache: tuple, dy: np.ndarray, groups: int | None = None
     ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Parameter grads and dh; ``groups`` as in :func:`tt.tt_vjp`."""
         _, dact = ACTIVATIONS[self.activation]
         h, z, a, down_cache, up_cache = cache
-        d_up, da = tt.tt_vjp(self.up.weight, up_cache, dy, self.up.trainable_mask)
+        d_up, da = tt.tt_vjp(
+            self.up.weight, up_cache, dy, self.up.trainable_mask, groups
+        )
         dz = da * dact(z)
         d_down, dh_inner = tt.tt_vjp(
-            self.down.weight, down_cache, dz, self.down.trainable_mask
+            self.down.weight, down_cache, dz, self.down.trainable_mask, groups
         )
         grads: dict[str, np.ndarray] = {}
         for j, g in enumerate(d_down):
             grads[f"down.f{j}"] = g
         if self.down.bias is not None:
-            grads["down.bias"] = dz.sum(axis=0)
+            grads["down.bias"] = _row_sum(dz, groups)
         for j, g in enumerate(d_up):
             grads[f"up.f{j}"] = g
         if self.up.bias is not None:
-            grads["up.bias"] = dy.sum(axis=0)
+            grads["up.bias"] = _row_sum(dy, groups)
         return grads, dy + dh_inner
 
     def copy(self) -> "TensorizedAdapter":
         return TensorizedAdapter(self.down.copy(), self.up.copy(), self.activation)
-
-
-def adapter_forward(adapter: TensorizedAdapter, h: np.ndarray) -> np.ndarray:
-    return adapter.forward(h)
 
 
 class DenseAdapter:
@@ -269,10 +272,6 @@ class DenseAdapter:
         return h + u
 
 
-def dense_adapter_forward(adapter: DenseAdapter, h: np.ndarray) -> np.ndarray:
-    return adapter.forward(np.asarray(h, dtype=np.float64))
-
-
 class AdamW:
     """Adam with decoupled weight decay and per-parameter step counters."""
 
@@ -321,15 +320,6 @@ class AdamW:
     def reset(self, names) -> None:
         for name in names:
             self.state.pop(name, None)
-
-
-def adamw_step(
-    state: AdamW,
-    params: dict[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
-    names=None,
-) -> None:
-    state.step(params, grads, names)
 
 
 @dataclass(frozen=True)
@@ -463,37 +453,63 @@ def encode(
     return ad.mean_axis(x, 1)
 
 
+# The nodes below take ``groups`` as tt.tt_vjp does: with groups = G the
+# rows are G samples' consecutive row blocks, and each parameter's grad
+# gets a leading sample axis of size G.
+
+
 def tt_linear_node(
     x: ad.Tensor,
     layer: TensorizedLinear,
     factor_ts: list[ad.Tensor],
     bias_t: ad.Tensor | None,
+    groups: int | None = None,
 ) -> ad.Tensor:
     y, cache = layer.forward_cached(x.data)
     parents = (x, *factor_ts) + ((bias_t,) if bias_t is not None else ())
 
     def vjp(g):
-        d_factors, dx = tt.tt_vjp(layer.weight, cache, g, layer.trainable_mask)
+        d_factors, dx = tt.tt_vjp(
+            layer.weight, cache, g, layer.trainable_mask, groups
+        )
         grads = [dx, *d_factors]
         if bias_t is not None:
-            grads.append(g.sum(axis=0))
+            grads.append(_row_sum(g, groups))
         return grads
 
     return ad.Tensor(y, parents, vjp)
 
 
 def adapter_node(
-    h: ad.Tensor, adapter: TensorizedAdapter, param_ts: Mapping[str, ad.Tensor]
+    h: ad.Tensor,
+    adapter: TensorizedAdapter,
+    param_ts: Mapping[str, ad.Tensor],
+    groups: int | None = None,
 ) -> ad.Tensor:
     names = list(adapter.named_params())
     y, cache = adapter.forward_cached(h.data)
     parents = (h, *[param_ts[n] for n in names])
 
     def vjp(g):
-        grads, dh = adapter.backward(cache, g)
+        grads, dh = adapter.backward(cache, g, groups)
         return [dh] + [grads[n] for n in names]
 
     return ad.Tensor(y, parents, vjp)
+
+
+def dense_head_node(
+    x: ad.Tensor, w_t: ad.Tensor, b_t: ad.Tensor, groups: int | None = None
+) -> ad.Tensor:
+    """x @ w + b for a (B, d) input; with ``groups`` each row is a sample."""
+
+    def vjp(g):
+        if groups is None:
+            dw = x.data.T @ g
+        else:
+            dw = x.data[:, :, None] * g[:, None, :]
+        return g @ w_t.data.T, dw, _row_sum(g, groups)
+
+    return ad.Tensor(x.data @ w_t.data + b_t.data, (x, w_t, b_t), vjp)
 
 
 def _ce_forward(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -606,8 +622,13 @@ class ToyModel:
                 True if trainable_names is None else name in trainable_names
             )
 
-    def _graph(self, tokens: np.ndarray, use_adapters: bool = True):
+    def _graph(
+        self, tokens: np.ndarray, use_adapters: bool = True, per_sample: bool = False
+    ):
+        """Logits and the trainables' leaf Tensors; ``per_sample`` gives each
+        trainable a grad with a leading sample axis."""
         tokens = _validate_tokens(self.cfg, tokens)
+        groups = len(tokens) if per_sample else None
         ts: dict[str, ad.Tensor] = {
             k: ad.Tensor(v) for k, v in self.backbone.items()
         }
@@ -627,7 +648,9 @@ class ToyModel:
                     def hook(x, adapter=adapter, local=local):
                         b, s, d = x.shape
                         flat = ad.reshape(x, (b * s, d))
-                        return ad.reshape(adapter_node(flat, adapter, local), (b, s, d))
+                        return ad.reshape(
+                            adapter_node(flat, adapter, local, groups), (b, s, d)
+                        )
 
                     pair.append(hook)
                 hooks.append(tuple(pair))
@@ -636,10 +659,12 @@ class ToyModel:
             factor_ts = [
                 param_ts[f"head.f{j}"] for j in range(self.head.weight.chain_length)
             ]
-            logits = tt_linear_node(pooled, self.head, factor_ts, param_ts["head.bias"])
+            logits = tt_linear_node(
+                pooled, self.head, factor_ts, param_ts["head.bias"], groups
+            )
         else:
-            logits = ad.add(
-                ad.matmul(pooled, param_ts["head.w"]), param_ts["head.b"]
+            logits = dense_head_node(
+                pooled, param_ts["head.w"], param_ts["head.b"], groups
             )
         return logits, param_ts
 
@@ -648,20 +673,34 @@ class ToyModel:
         return out.data
 
     def loss_and_grads(
-        self, tokens: np.ndarray, labels: np.ndarray, trainable_names=None
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean cross-entropy and its gradients for the selected parameters."""
+        self,
+        tokens: np.ndarray,
+        labels: np.ndarray,
+        trainable_names=None,
+        per_sample: bool = False,
+    ) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
+        """Mean cross-entropy and its gradients for the selected parameters.
+
+        With ``per_sample`` one batched forward and backward gives each
+        sample's loss, shape (B,), and each sample's gradients, shape
+        (B, *param.shape): samples never mix in the model, so the backward
+        is seeded with the unreduced per-row cross-entropy gradient and
+        the TT layers keep the sample axis through their last contraction.
+        """
         self.set_factor_masks(trainable_names)
-        logits, param_ts = self._graph(tokens)
-        loss = ad.cross_entropy(logits, np.asarray(labels))
+        logits, param_ts = self._graph(tokens, per_sample=per_sample)
+        loss = ad.cross_entropy(logits, np.asarray(labels), reduce=not per_sample)
         loss.backward()
         names = self._params if trainable_names is None else trainable_names
+        lead = (len(tokens),) if per_sample else ()
         grads = {}
         for n in self._params:
             if n not in names:
                 continue
             g = param_ts[n].grad
-            grads[n] = np.zeros_like(self._params[n]) if g is None else g
+            grads[n] = np.zeros(lead + self._params[n].shape) if g is None else g
+        if per_sample:
+            return loss.data, grads
         return float(loss.data), grads
 
     def evaluate(
@@ -718,7 +757,19 @@ def pretrain_backbone(
     return {k: v for k, v in params.items() if not k.startswith("head.")}
 
 
-@lru_cache(maxsize=8)
+# The ModelConfig fields pretraining reads; adapter and head settings are
+# not among them, so configs differing only there share one backbone.
+_BACKBONE_FIELDS = (
+    "vocab_size",
+    "seq_len",
+    "d_model",
+    "num_blocks",
+    "num_heads",
+    "mlp_hidden",
+    "num_classes",
+)
+
+
 def get_pretrained_backbone(
     cfg: ModelConfig,
     per_class: int,
@@ -731,8 +782,22 @@ def get_pretrained_backbone(
 
     Seed-pinned: the pretraining corpus and the init both derive from
     ``seed`` alone, so runs with different experiment seeds reuse one
-    backbone.  Returned arrays are frozen read-only.
+    backbone.  The cache is keyed on the backbone's own fields of ``cfg``
+    and the pretraining arguments.  Returned arrays are frozen read-only.
     """
+    key = ModelConfig(**{f: getattr(cfg, f) for f in _BACKBONE_FIELDS})
+    return _pretrained_backbone(key, per_class, steps, lr, batch_size, seed)
+
+
+@lru_cache(maxsize=8)
+def _pretrained_backbone(
+    cfg: ModelConfig,
+    per_class: int,
+    steps: int,
+    lr: float,
+    batch_size: int,
+    seed: int,
+) -> Mapping[str, np.ndarray]:
     from .data import generate_corpus
 
     corpus = generate_corpus(cfg.num_classes, per_class, cfg.seq_len, cfg.vocab_size, seed)
@@ -743,3 +808,7 @@ def get_pretrained_backbone(
     for arr in backbone.values():
         arr.flags.writeable = False
     return backbone
+
+
+get_pretrained_backbone.cache_info = _pretrained_backbone.cache_info
+get_pretrained_backbone.cache_clear = _pretrained_backbone.cache_clear

@@ -352,11 +352,16 @@ def tt_vjp(
     cache: tuple,
     dy: np.ndarray,
     mask: list[bool] | None = None,
+    groups: int | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact gradients of sum(dy * (X W^T)) w.r.t. each core and the input.
 
-    ``mask[j]`` False marks a frozen core: its einsum is skipped and a zero
-    array is returned in its slot.  Returns (core grads, dX).
+    ``mask[j]`` False marks a frozen core: its contraction is skipped and a
+    zero array is returned in its slot.  With ``groups`` = G, the B rows
+    are G consecutive groups of B/G rows (one group per sample) and every
+    core grad gets a leading axis of size G holding each group's own sum;
+    the sample axis survives until the last contraction over rows, so one
+    call gives every per-sample gradient.  Returns (core grads, dX).
     """
     states, lefts = cache
     a = len(w.row_dims)
@@ -364,16 +369,26 @@ def tt_vjp(
     ranks = w.ranks
     if mask is None:
         mask = [True] * j_total
+    n_groups = 1 if groups is None else groups
+    if n_groups < 1 or dy.shape[0] % n_groups:
+        raise ValueError(f"{dy.shape[0]} rows do not split into {groups} groups")
+    per_group = dy.shape[0] // n_groups
     cr = states[-1]
     left = lefts[-1]
     d_cr = dy @ left
-    d_left = dy.T @ cr  # (P, r_a)
-    d_factors: list[np.ndarray] = [np.zeros(0)] * j_total
+    # Frozen cores keep their zeros; every trained slot is filled below.
+    d_factors = [
+        None if keep else np.zeros((n_groups, *f.shape))
+        for f, keep in zip(w.factors, mask)
+    ]
 
     if a:
+        # (G, P, r_a): the row contraction of dy^T cr, kept apart per group.
+        r_a = ranks[a]
+        dy_g = dy.reshape(n_groups, per_group, -1)
+        d_left = np.swapaxes(dy_g, 1, 2) @ cr.reshape(n_groups, per_group, r_a)
         # Right partials of the row chain: rrows[j] holds factors j..a-1
         # contracted to (r_j, k_j*...*k_{a-1}, r_a).
-        r_a = ranks[a]
         rrows: list[np.ndarray] = [np.zeros(0)] * (a + 1)
         rrows[a] = np.eye(r_a)[:, None, :]
         for j in range(a - 1, -1, -1):
@@ -381,26 +396,28 @@ def tt_vjp(
             rrows[j] = nxt.reshape(ranks[j], -1, r_a)
         for j in range(a):
             if not mask[j]:
-                d_factors[j] = np.zeros_like(w.factors[j])
                 continue
             kl = lefts[j].shape[0]
             kr = rrows[j + 1].shape[1]
-            dl = d_left.reshape(kl, w.dims[j], kr, r_a)
-            t = np.tensordot(lefts[j], dl, axes=([0], [0]))
-            d_factors[j] = np.tensordot(t, rrows[j + 1], axes=([2, 3], [1, 2]))
+            dl = d_left.reshape(n_groups, kl, w.dims[j], kr, r_a)
+            t = np.tensordot(lefts[j], dl, axes=([0], [1]))
+            d = np.tensordot(t, rrows[j + 1], axes=([3, 4], [1, 2]))
+            d_factors[j] = np.moveaxis(d, 1, 0)
 
     d_state = d_cr
     for j in range(a, j_total):
-        s_in = states[j_total - 1 - j]
         n = d_state.ndim
         if mask[j]:
-            d_factors[j] = np.tensordot(
-                d_state, s_in, axes=(list(range(n - 1)), list(range(n - 1)))
-            )
-        else:
-            d_factors[j] = np.zeros_like(w.factors[j])
+            # Contract the rows of each group and the absorbed column modes.
+            r_j = d_state.shape[-1]
+            lhs = d_state.reshape(n_groups, -1, r_j)
+            rhs = states[j_total - 1 - j].reshape(n_groups, lhs.shape[1], -1)
+            d = np.swapaxes(lhs, 1, 2) @ rhs
+            d_factors[j] = d.reshape(n_groups, *w.factors[j].shape)
         d_state = np.tensordot(d_state, w.factors[j], axes=([n - 1], [0]))
     dx = d_state.reshape(dy.shape[0], w.cols)
+    if groups is None:
+        d_factors = [d[0] for d in d_factors]
     return d_factors, dx
 
 

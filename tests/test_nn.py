@@ -396,3 +396,23 @@ def test_pretrained_backbone_cache_and_determinism():
     )
     for k in a:
         assert np.array_equal(a[k], c[k]), k
+
+
+def test_pretrained_backbone_cache_ignores_adapter_fields():
+    m = dict(TINY_MODEL)
+    args = (m["pretrain_per_class"], m["pretrain_steps"], 1e-3, m["pretrain_batch"], 7)
+    base = tiny_model_config()
+    other = tiny_model_config(bottleneck=24, tt_rank=2, head_mode="dense",
+                              adapter_bias=False, activation="tanh")
+    get_pretrained_backbone.cache_clear()
+    a = get_pretrained_backbone(base, *args)
+    b = get_pretrained_backbone(other, *args)
+    assert get_pretrained_backbone.cache_info().misses == 1
+    assert a is b
+    corpus = generate_corpus(base.num_classes, m["pretrain_per_class"],
+                             base.seq_len, base.vocab_size, 7)
+    cold = pretrain_backbone(other, corpus.tokens, corpus.labels, m["pretrain_steps"],
+                             1e-3, m["pretrain_batch"], np.random.default_rng((7, 1)))
+    assert set(cold) == set(a)
+    for k in cold:
+        assert np.array_equal(a[k], cold[k]), k
