@@ -32,7 +32,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def backward(self) -> None:
+    def backward(self, grad=None) -> None:
+        """Backpropagate from this node, seeded with ``grad`` (default ones)."""
+        seed = np.ones_like(self.data) if grad is None else np.asarray(grad, np.float64)
+        if seed.shape != self.data.shape:
+            raise ValueError(f"seed shape {seed.shape} does not match {self.data.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -47,7 +51,7 @@ class Tensor:
             stack.append((node, True))
             for p in node.parents:
                 stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = seed
         for node in reversed(order):
             if node.vjp is None or node.grad is None:
                 continue
@@ -98,6 +102,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     return Tensor(out, (a,), lambda g: (g * (a.data > 0),))
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.data)
+    return Tensor(out, (a,), lambda g: (g * (1.0 - out**2),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

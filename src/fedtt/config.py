@@ -7,10 +7,10 @@ defaults.  ``format_config`` emits every key of the resolved config and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .data import PARTITION_MODES
+from .data import PARTITION_MODES, PartitionSpec
 from .errors import ConfigError
 from .fed import FedConfig
 from .nn import ModelConfig
@@ -26,6 +26,10 @@ __all__ = [
     "validate_config",
     "with_overrides",
 ]
+
+
+# ModelConfig fields whose config key has a shorter name.
+_MODEL_KEYS = {"num_blocks": "blocks", "num_heads": "heads"}
 
 
 @dataclass(frozen=True)
@@ -58,20 +62,12 @@ class ModelSettings:
             raise ValueError("model.backbone_seed must be non-negative")
 
     def to_model_config(self, num_classes: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=self.vocab_size,
-            seq_len=self.seq_len,
-            d_model=self.d_model,
-            num_blocks=self.blocks,
-            num_heads=self.heads,
-            mlp_hidden=self.mlp_hidden,
-            num_classes=num_classes,
-            bottleneck=self.bottleneck,
-            tt_rank=self.tt_rank,
-            head_mode=self.head_mode,
-            adapter_bias=self.adapter_bias,
-            activation=self.activation,
-        )
+        values = {
+            f.name: getattr(self, _MODEL_KEYS.get(f.name, f.name))
+            for f in fields(ModelConfig)
+            if f.name != "num_classes"
+        }
+        return ModelConfig(num_classes=num_classes, **values)
 
 
 @dataclass(frozen=True)
@@ -102,50 +98,34 @@ class RunConfig:
     seed: int = 0
     out: str = "out"
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
-# key -> (section attr, field name, type tag); "" = top level
-_SCHEMA: dict[str, tuple[str, str, str]] = {
-    "model.vocab_size": ("model", "vocab_size", "int"),
-    "model.seq_len": ("model", "seq_len", "int"),
-    "model.d_model": ("model", "d_model", "int"),
-    "model.blocks": ("model", "blocks", "int"),
-    "model.heads": ("model", "heads", "int"),
-    "model.mlp_hidden": ("model", "mlp_hidden", "int"),
-    "model.bottleneck": ("model", "bottleneck", "int"),
-    "model.tt_rank": ("model", "tt_rank", "int"),
-    "model.head_mode": ("model", "head_mode", "str"),
-    "model.adapter_bias": ("model", "adapter_bias", "bool"),
-    "model.activation": ("model", "activation", "str"),
-    "model.backbone_seed": ("model", "backbone_seed", "int"),
-    "model.pretrain_steps": ("model", "pretrain_steps", "int"),
-    "model.pretrain_lr": ("model", "pretrain_lr", "float"),
-    "model.pretrain_batch": ("model", "pretrain_batch", "int"),
-    "model.pretrain_per_class": ("model", "pretrain_per_class", "int"),
-    "fed.num_clients": ("fed", "num_clients", "int"),
-    "fed.clients_per_round": ("fed", "clients_per_round", "int"),
-    "fed.local_updates": ("fed", "local_updates", "int"),
-    "fed.rounds": ("fed", "rounds", "int"),
-    "fed.algorithm": ("fed", "algorithm", "str"),
-    "fed.lr": ("fed", "lr", "float"),
-    "fed.batch_size": ("fed", "batch_size", "int"),
-    "fed.weight_decay": ("fed", "weight_decay", "float"),
-    "fed.workers": ("fed", "workers", "int"),
-    "fed.reset_frozen_moments": ("fed", "reset_frozen_moments", "bool"),
-    "fed.eval_batch": ("fed", "eval_batch", "int"),
-    "data.classes": ("data", "classes", "int"),
-    "data.per_class": ("data", "per_class", "int"),
-    "data.eval_per_class": ("data", "eval_per_class", "int"),
-    "data.partition": ("data", "partition", "str"),
-    "data.proportions": ("data", "proportions", "matrix"),
-    "dp.enabled": ("dp", "enabled", "bool"),
-    "dp.clip": ("dp", "clip", "float"),
-    "dp.sigma": ("dp", "sigma", "float"),
-    "dp.epsilon": ("dp", "epsilon", "float"),
-    "dp.delta": ("dp", "delta", "float"),
-    "dp.c0": ("dp", "c0", "float"),
-    "seed": ("", "seed", "int"),
-    "out": ("", "out", "str"),
-}
+
+def _schema() -> dict[str, tuple[str, str, str]]:
+    """key -> (section attr, field name, type tag); "" = top level.
+
+    A section is a RunConfig field built by its own dataclass; its keys are
+    that dataclass's fields in order.  Under postponed annotations a field's
+    type is a string: the scalar names are tags, anything else is the
+    proportions matrix.
+    """
+
+    def kind(f) -> str:
+        return f.type if f.type in ("int", "float", "bool", "str") else "matrix"
+
+    schema = {}
+    for f in fields(RunConfig):
+        if is_dataclass(f.default_factory):
+            for sf in fields(f.default_factory):
+                schema[f"{f.name}.{sf.name}"] = (f.name, sf.name, kind(sf))
+        else:
+            schema[f.name] = ("", f.name, kind(f))
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def _parse_value(key: str, kind: str, raw: str):
@@ -245,11 +225,10 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.data.partition == "proportions":
         if cfg.data.proportions is None:
             raise ConfigError("data.partition = proportions requires data.proportions")
-        if len(cfg.data.proportions) != cfg.fed.num_clients:
-            raise ConfigError(
-                f"data.proportions has {len(cfg.data.proportions)} rows for "
-                f"{cfg.fed.num_clients} clients"
-            )
+        try:
+            PartitionSpec(cfg.data.partition, cfg.fed.num_clients, cfg.data.proportions)
+        except ValueError as e:
+            raise ConfigError(f"data.proportions: {e}") from e
         for i, row in enumerate(cfg.data.proportions):
             if len(row) != cfg.data.classes:
                 raise ConfigError(
@@ -274,13 +253,13 @@ def format_config(cfg: RunConfig) -> str:
 
 def with_overrides(cfg: RunConfig, seed=None, out=None, workers=None) -> RunConfig:
     """CLI-level overrides; None leaves the field untouched."""
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if out is not None:
-        cfg = replace(cfg, out=out)
-    if workers is not None:
-        try:
+    try:
+        if seed is not None:
+            cfg = replace(cfg, seed=seed)
+        if out is not None:
+            cfg = replace(cfg, out=out)
+        if workers is not None:
             cfg = replace(cfg, fed=replace(cfg.fed, workers=workers))
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     return cfg

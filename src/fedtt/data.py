@@ -85,7 +85,7 @@ class PartitionSpec:
             for i, row in enumerate(self.proportions):
                 if any(p < 0 for p in row):
                     raise ValueError(f"negative proportion in row {i}")
-                if abs(sum(row) - 1.0) > 1e-9:
+                if not abs(sum(row) - 1.0) <= 1e-9:  # a NaN weight fails too
                     raise ValueError(f"proportion row {i} sums to {sum(row)}, not 1")
         elif self.proportions is not None:
             raise ValueError(f"proportions are only valid in proportions mode")

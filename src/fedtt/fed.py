@@ -15,6 +15,7 @@ stream and final parameters are identical regardless of worker count.
 
 from __future__ import annotations
 
+import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -340,7 +341,6 @@ class FederatedRunner:
         spec = PartitionSpec(cfg.data.partition, fc.num_clients, cfg.data.proportions)
         shards = partition(self.train_corpus, spec, part_ss)
         self.clients: list[ClientState] = []
-        self.models: list[ToyModel] = []
         for cid in range(fc.num_clients):
             batch_ss, dp_ss = client_ss[cid]
             shard = shards[cid]
@@ -365,7 +365,12 @@ class FederatedRunner:
                     sigma,
                 )
             )
-            self.models.append(ToyModel(mc, backbone, np.random.default_rng(init_ss)))
+        # local_update overwrites a model's whole trainable state and masks,
+        # so one model per worker thread serves every client.
+        self.models = [
+            ToyModel(mc, backbone, np.random.default_rng(init_ss))
+            for _ in range(min(fc.workers, fc.clients_per_round))
+        ]
         self.server_rng = np.random.default_rng(server_ss)
         self.round = 0
         self.cumulative_kb = 0.0
@@ -380,11 +385,19 @@ class FederatedRunner:
         else:
             ids = list(range(fc.num_clients))
 
+        free: queue.SimpleQueue[ToyModel] = queue.SimpleQueue()
+        for model in self.models:
+            free.put(model)
+
         def work(cid: int):
-            return local_update(
-                self.models[cid], self.clients[cid], self.server_params,
-                selection, fc, self.cfg.dp,
-            )
+            model = free.get()
+            try:
+                return local_update(
+                    model, self.clients[cid], self.server_params,
+                    selection, fc, self.cfg.dp,
+                )
+            finally:
+                free.put(model)
 
         try:
             if fc.workers > 1 and len(ids) > 1:

@@ -24,7 +24,6 @@ __all__ = [
     "TensorizedLinear",
     "TensorizedAdapter",
     "DenseAdapter",
-    "linear_forward",
     "linear_backward",
     "AdamW",
     "ModelConfig",
@@ -35,10 +34,7 @@ __all__ = [
     "get_pretrained_backbone",
 ]
 
-ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(np.float64)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-}
+ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
 
 
 def _row_sum(g: np.ndarray, groups: int | None) -> np.ndarray:
@@ -111,9 +107,32 @@ class TensorizedLinear:
         )
 
 
-def linear_forward(layer: TensorizedLinear, x: np.ndarray) -> np.ndarray:
-    """Rows of the (B, Q) input mapped to rows of a (B, P) output."""
-    return layer.forward(np.asarray(x, dtype=np.float64))
+# The nodes below take ``groups`` as tt.tt_vjp does: with groups = G the
+# rows are G samples' consecutive row blocks, and each parameter's grad
+# gets a leading sample axis of size G.
+
+
+def tt_linear_node(
+    x: ad.Tensor,
+    layer: TensorizedLinear,
+    factor_ts: list[ad.Tensor],
+    bias_t: ad.Tensor | None,
+    groups: int | None = None,
+) -> ad.Tensor:
+    """The layer as one tape node over x, its cores and its bias."""
+    y, cache = layer.forward_cached(x.data)
+    parents = (x, *factor_ts) + ((bias_t,) if bias_t is not None else ())
+
+    def vjp(g):
+        d_factors, dx = tt.tt_vjp(
+            layer.weight, cache, g, layer.trainable_mask, groups
+        )
+        grads = [dx, *d_factors]
+        if bias_t is not None:
+            grads.append(_row_sum(g, groups))
+        return grads
+
+    return ad.Tensor(y, parents, vjp)
 
 
 def linear_backward(
@@ -123,12 +142,12 @@ def linear_backward(
 
     Cores with a False trainable mask come back as zero arrays.
     """
-    x = np.asarray(x, dtype=np.float64)
-    dy = np.asarray(dy, dtype=np.float64)
-    _, cache = tt.tt_forward(layer.weight, x)
-    d_factors, dx = tt.tt_vjp(layer.weight, cache, dy, layer.trainable_mask)
-    d_bias = dy.sum(axis=0) if layer.bias is not None else None
-    return d_factors, d_bias, dx
+    x_t = ad.Tensor(x)
+    factor_ts = [ad.Tensor(f) for f in layer.weight.factors]
+    bias_t = None if layer.bias is None else ad.Tensor(layer.bias)
+    tt_linear_node(x_t, layer, factor_ts, bias_t).backward(dy)
+    d_bias = None if bias_t is None else bias_t.grad
+    return [f.grad for f in factor_ts], d_bias, x_t.grad
 
 
 class TensorizedAdapter:
@@ -184,39 +203,41 @@ class TensorizedAdapter:
                 out[f"{side}.bias"] = layer.bias
         return out
 
+    def node(
+        self,
+        h: ad.Tensor,
+        param_ts: Mapping[str, ad.Tensor],
+        groups: int | None = None,
+    ) -> ad.Tensor:
+        """h + up(act(down(h))) on the tape; ``param_ts`` is keyed as
+        :meth:`named_params`."""
+
+        def linear(x: ad.Tensor, side: str, layer: TensorizedLinear) -> ad.Tensor:
+            factor_ts = [
+                param_ts[f"{side}.f{j}"] for j in range(layer.weight.chain_length)
+            ]
+            bias_t = None if layer.bias is None else param_ts[f"{side}.bias"]
+            return tt_linear_node(x, layer, factor_ts, bias_t, groups)
+
+        a = ACTIVATIONS[self.activation](linear(h, "down", self.down))
+        return ad.add(h, linear(a, "up", self.up))
+
     def forward_cached(self, h: np.ndarray) -> tuple[np.ndarray, tuple]:
-        act, _ = ACTIVATIONS[self.activation]
-        z, down_cache = self.down.forward_cached(h)
-        a = act(z)
-        u, up_cache = self.up.forward_cached(a)
-        return h + u, (h, z, a, down_cache, up_cache)
+        h_t = ad.Tensor(h)
+        param_ts = {n: ad.Tensor(v) for n, v in self.named_params().items()}
+        y = self.node(h_t, param_ts)
+        return y.data, (h_t, param_ts, y)
 
     def forward(self, h: np.ndarray) -> np.ndarray:
-        return self.forward_cached(np.asarray(h, dtype=np.float64))[0]
+        return self.forward_cached(h)[0]
 
     def backward(
-        self, cache: tuple, dy: np.ndarray, groups: int | None = None
+        self, cache: tuple, dy: np.ndarray
     ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Parameter grads and dh; ``groups`` as in :func:`tt.tt_vjp`."""
-        _, dact = ACTIVATIONS[self.activation]
-        h, z, a, down_cache, up_cache = cache
-        d_up, da = tt.tt_vjp(
-            self.up.weight, up_cache, dy, self.up.trainable_mask, groups
-        )
-        dz = da * dact(z)
-        d_down, dh_inner = tt.tt_vjp(
-            self.down.weight, down_cache, dz, self.down.trainable_mask, groups
-        )
-        grads: dict[str, np.ndarray] = {}
-        for j, g in enumerate(d_down):
-            grads[f"down.f{j}"] = g
-        if self.down.bias is not None:
-            grads["down.bias"] = _row_sum(dz, groups)
-        for j, g in enumerate(d_up):
-            grads[f"up.f{j}"] = g
-        if self.up.bias is not None:
-            grads["up.bias"] = _row_sum(dy, groups)
-        return grads, dy + dh_inner
+        """Parameter grads and dh of sum(dy * forward(h)), once per cache."""
+        h_t, param_ts, y = cache
+        y.backward(dy)
+        return {n: t.grad for n, t in param_ts.items()}, h_t.grad
 
     def copy(self) -> "TensorizedAdapter":
         return TensorizedAdapter(self.down.copy(), self.up.copy(), self.activation)
@@ -262,11 +283,10 @@ class DenseAdapter:
         return self.w_down.size + self.w_up.size
 
     def forward(self, h: np.ndarray) -> np.ndarray:
-        act, _ = ACTIVATIONS[self.activation]
         z = h @ self.w_down.T
         if self.b_down is not None:
             z = z + self.b_down
-        u = act(z) @ self.w_up.T
+        u = ACTIVATIONS[self.activation](ad.Tensor(z)).data @ self.w_up.T
         if self.b_up is not None:
             u = u + self.b_up
         return h + u
@@ -453,50 +473,6 @@ def encode(
     return ad.mean_axis(x, 1)
 
 
-# The nodes below take ``groups`` as tt.tt_vjp does: with groups = G the
-# rows are G samples' consecutive row blocks, and each parameter's grad
-# gets a leading sample axis of size G.
-
-
-def tt_linear_node(
-    x: ad.Tensor,
-    layer: TensorizedLinear,
-    factor_ts: list[ad.Tensor],
-    bias_t: ad.Tensor | None,
-    groups: int | None = None,
-) -> ad.Tensor:
-    y, cache = layer.forward_cached(x.data)
-    parents = (x, *factor_ts) + ((bias_t,) if bias_t is not None else ())
-
-    def vjp(g):
-        d_factors, dx = tt.tt_vjp(
-            layer.weight, cache, g, layer.trainable_mask, groups
-        )
-        grads = [dx, *d_factors]
-        if bias_t is not None:
-            grads.append(_row_sum(g, groups))
-        return grads
-
-    return ad.Tensor(y, parents, vjp)
-
-
-def adapter_node(
-    h: ad.Tensor,
-    adapter: TensorizedAdapter,
-    param_ts: Mapping[str, ad.Tensor],
-    groups: int | None = None,
-) -> ad.Tensor:
-    names = list(adapter.named_params())
-    y, cache = adapter.forward_cached(h.data)
-    parents = (h, *[param_ts[n] for n in names])
-
-    def vjp(g):
-        grads, dh = adapter.backward(cache, g, groups)
-        return [dh] + [grads[n] for n in names]
-
-    return ad.Tensor(y, parents, vjp)
-
-
 def dense_head_node(
     x: ad.Tensor, w_t: ad.Tensor, b_t: ad.Tensor, groups: int | None = None
 ) -> ad.Tensor:
@@ -510,12 +486,6 @@ def dense_head_node(
         return g @ w_t.data.T, dw, _row_sum(g, groups)
 
     return ad.Tensor(x.data @ w_t.data + b_t.data, (x, w_t, b_t), vjp)
-
-
-def _ce_forward(logits: np.ndarray, labels: np.ndarray) -> float:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.max(axis=-1)
-    return float((lse - logits[np.arange(len(labels)), labels]).mean())
 
 
 class ToyModel:
@@ -649,7 +619,7 @@ class ToyModel:
                         b, s, d = x.shape
                         flat = ad.reshape(x, (b * s, d))
                         return ad.reshape(
-                            adapter_node(flat, adapter, local, groups), (b, s, d)
+                            adapter.node(flat, local, groups), (b, s, d)
                         )
 
                     pair.append(hook)
@@ -713,7 +683,7 @@ class ToyModel:
             tok = tokens[start : start + batch_size]
             lab = labels[start : start + batch_size]
             out = self.logits(tok)
-            losses.append(_ce_forward(out, lab) * len(lab))
+            losses.append(float(ad.cross_entropy(ad.Tensor(out), lab).data) * len(lab))
             correct += int((out.argmax(axis=-1) == lab).sum())
         n = len(tokens)
         return sum(losses) / n, correct / n

@@ -7,6 +7,19 @@ import pytest
 from fedtt.config import DataSettings, ModelSettings, RunConfig
 from fedtt.fed import FedConfig
 
+# Training runs that take minutes each; everything else runs in seconds.
+SLOW_TESTS = {
+    "test_criterion_07_heterogeneity_behavior",
+    "test_criterion_08_rank_ablation_direction",
+}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.name in SLOW_TESTS:
+            item.add_marker(pytest.mark.slow)
+
+
 TINY_MODEL = dict(
     vocab_size=16,
     seq_len=12,

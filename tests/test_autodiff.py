@@ -69,6 +69,11 @@ def test_relu_grad(rng):
     check_unary(lambda t: ad.relu(t), x)
 
 
+def test_tanh_grad(rng):
+    x = rng.normal(size=(4, 5))
+    check_unary(lambda t: ad.tanh(t), x)
+
+
 def test_scale_reshape_transpose_mean(rng):
     x = rng.normal(size=(2, 3, 4))
     check_unary(lambda t: ad.scale(t, -2.5), x)
@@ -197,3 +202,17 @@ def test_backward_seeds_with_ones(rng):
     t = ad.Tensor(rng.normal(size=(3,)))
     ad.scale(t, 2.0).backward()
     assert np.allclose(t.grad, 2.0)
+
+
+def test_backward_with_seed_scales_the_ones_seed(rng):
+    x = rng.normal(size=(3, 4))
+    w = rng.normal(size=(4, 2))
+    seed = rng.normal(size=(3, 2))
+    seeded, ones = ad.Tensor(x), ad.Tensor(x)
+    ad.tanh(ad.matmul(seeded, ad.Tensor(w))).backward(seed)
+    # A per-element seed is the ones seed applied to the output scaled by it.
+    y = ad.tanh(ad.matmul(ones, ad.Tensor(w)))
+    ad.Tensor(y.data * seed, (y,), lambda g: (g * seed,)).backward()
+    assert np.allclose(seeded.grad, ones.grad, atol=1e-14)
+    with pytest.raises(ValueError, match="seed shape"):
+        ad.tanh(ad.Tensor(x)).backward(np.ones(3))

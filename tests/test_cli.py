@@ -91,6 +91,16 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_1(tmp_path, capsys):
+    cfg_path, _ = write_cfg(tmp_path, seed=21)
+    assert main(["train", "--config", str(cfg_path), "--seed", "-1"]) == 1
+    assert "config error: seed must be non-negative" in capsys.readouterr().err
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("seed = -1\n")
+    assert main(["train", "--config", str(bad)]) == 1
+    assert "config error: seed must be non-negative" in capsys.readouterr().err
+
+
 def test_divergent_run_exits_2(tmp_path, capsys):
     cfg_path, _ = write_cfg(tmp_path, seed=5, rounds=2, local_updates=3,
                             lr=1e9, weight_decay=1e9)

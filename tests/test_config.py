@@ -53,6 +53,55 @@ def test_round_trip_covers_every_key():
     assert "fed.clients_per_round" in keys
 
 
+DEFAULT_CONFIG_TXT = (
+    "model.vocab_size = 32\n"
+    "model.seq_len = 16\n"
+    "model.d_model = 64\n"
+    "model.blocks = 2\n"
+    "model.heads = 2\n"
+    "model.mlp_hidden = 128\n"
+    "model.bottleneck = 16\n"
+    "model.tt_rank = 5\n"
+    "model.head_mode = tensorized\n"
+    "model.adapter_bias = true\n"
+    "model.activation = relu\n"
+    "model.backbone_seed = 7\n"
+    "model.pretrain_steps = 300\n"
+    "model.pretrain_lr = 0.001\n"
+    "model.pretrain_batch = 32\n"
+    "model.pretrain_per_class = 200\n"
+    "fed.num_clients = 5\n"
+    "fed.clients_per_round = 5\n"
+    "fed.local_updates = 1\n"
+    "fed.rounds = 100\n"
+    "fed.algorithm = fedtt\n"
+    "fed.lr = 0.001\n"
+    "fed.batch_size = 32\n"
+    "fed.weight_decay = 0.0\n"
+    "fed.workers = 1\n"
+    "fed.reset_frozen_moments = true\n"
+    "fed.eval_batch = 64\n"
+    "data.classes = 2\n"
+    "data.per_class = 400\n"
+    "data.eval_per_class = 100\n"
+    "data.partition = iid\n"
+    "data.proportions = \n"
+    "dp.enabled = false\n"
+    "dp.clip = 1.0\n"
+    "dp.sigma = 0.0\n"
+    "dp.epsilon = 0.0\n"
+    "dp.delta = 1e-05\n"
+    "dp.c0 = 1.0\n"
+    "seed = 0\n"
+    "out = out\n"
+)
+
+
+def test_format_config_of_defaults_is_pinned():
+    # Key order and value formats are the config.txt file format.
+    assert format_config(RunConfig()) == DEFAULT_CONFIG_TXT
+
+
 def test_proportions_matrix_round_trip():
     text = (
         "fed.num_clients = 2\n"
@@ -142,6 +191,24 @@ def test_proportions_cross_validation():
             "data.classes = 3\n"
             "data.partition = proportions\n"
             "data.proportions = 0.5,0.5;0.5,0.5\n"
+        )
+    with pytest.raises(ConfigError, match="sums to"):
+        parse_config_text(
+            "fed.num_clients = 2\n"
+            "data.partition = proportions\n"
+            "data.proportions = 0.5,0.6;0.5,0.5\n"
+        )
+    with pytest.raises(ConfigError, match="negative"):
+        parse_config_text(
+            "fed.num_clients = 2\n"
+            "data.partition = proportions\n"
+            "data.proportions = 1.5,-0.5;0.5,0.5\n"
+        )
+    with pytest.raises(ConfigError, match="sums to nan"):
+        parse_config_text(
+            "fed.num_clients = 2\n"
+            "data.partition = proportions\n"
+            "data.proportions = nan,1.0;0.5,0.5\n"
         )
 
 

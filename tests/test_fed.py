@@ -230,7 +230,7 @@ def test_local_update_freezes_rotated_out_cores(plus_runner):
 
 def test_local_update_resets_moments_on_reentry(plus_runner):
     runner = plus_runner
-    model, client = runner.models[1], runner.clients[1]
+    model, client = runner.models[0], runner.clients[1]
     sel1 = select_trainable(1, 4, "fedtt_plus")  # f2 in, f1 out
     local_update(model, client, runner.server_params, sel1, runner.cfg.fed)
     f2 = "blocks.0.adapter.attn.down.f2"
@@ -271,11 +271,11 @@ def test_dp_noise_perturbs_the_update():
     dp_cfg = DPConfig(enabled=True, clip=0.5, sigma=2.0)
     runner.clients[1].sigma = 2.0
     noisy, _ = local_update(
-        runner.models[1], runner.clients[1], runner.server_params, sel,
+        runner.models[0], runner.clients[1], runner.server_params, sel,
         runner.cfg.fed, dp_cfg,
     )
     again, _ = local_update(
-        runner.models[2], runner.clients[2], runner.server_params, sel,
+        runner.models[0], runner.clients[2], runner.server_params, sel,
         runner.cfg.fed, dp_cfg,
     )
     diffs = [np.abs(noisy[k] - again[k]).max() for k in noisy]

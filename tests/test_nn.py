@@ -15,7 +15,6 @@ from fedtt.nn import (
     get_pretrained_backbone,
     init_backbone,
     linear_backward,
-    linear_forward,
     pretrain_backbone,
 )
 from fedtt.tt import reconstruct
@@ -56,7 +55,7 @@ def test_linear_forward_matches_dense(rng):
     layer.bias[:] = rng.normal(size=6)
     x = rng.normal(size=(5, 8))
     dense = reconstruct(layer.weight)
-    assert np.allclose(linear_forward(layer, x), x @ dense.T + layer.bias, atol=1e-12)
+    assert np.allclose(layer.forward(x), x @ dense.T + layer.bias, atol=1e-12)
     assert layer.in_features == 8 and layer.out_features == 6
 
 
