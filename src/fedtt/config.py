@@ -188,6 +188,8 @@ def parse_config(path) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file is not UTF-8 text: {path}: {e}") from e
     return parse_config_text(text)
 
 

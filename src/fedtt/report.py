@@ -8,6 +8,7 @@ quality, and ratios are taken against a reference method's total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping
 
 from .errors import ConfigError
@@ -81,9 +82,11 @@ def format_report(rows: list[ReportRow]) -> str:
 def load_cost_table(path) -> tuple[dict[str, int], dict[str, int]]:
     """Parse ``name,params,rounds`` lines; '#' starts a comment."""
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as e:
         raise ConfigError(f"cost table not found: {path}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"cost table is not UTF-8 text: {path}: {e}") from e
     params: dict[str, int] = {}
     rounds: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

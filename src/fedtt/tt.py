@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -289,53 +288,35 @@ def tt_svd(m: np.ndarray, plan: TensorShapePlan) -> TTWeight:
     return TTWeight(factors, plan.row_dims, plan.col_dims)
 
 
-def reconstruct(w: TTWeight) -> np.ndarray:
-    """Contract the chain with repeated mode products and fold back to P x Q."""
-    t = reduce(lambda acc, g: mode_product(acc, g, acc.ndim, 1), w.factors)
-    if t.shape[0] != 1 or t.shape[-1] != 1:
-        raise ValueError("chain did not close on unit boundary ranks")
-    return t.reshape(w.rows, w.cols)
-
-
-def _right_states(w: TTWeight, xr: np.ndarray) -> list[np.ndarray]:
-    # states[i] is the partial contraction before absorbing factor J-1-i;
-    # the last entry has shape (B, r_a).
-    a = len(w.row_dims)
-    states = [xr[..., None]]
-    for j in range(w.chain_length - 1, a - 1, -1):
-        c = states[-1]
-        states.append(
-            np.tensordot(c, w.factors[j], axes=([c.ndim - 2, c.ndim - 1], [1, 2]))
-        )
-    return states
-
-
-def _left_partials(w: TTWeight) -> list[np.ndarray]:
-    # lefts[j]: factors 0..j-1 contracted, flattened to (k_0*...*k_{j-1}, r_j).
+def _lefts(w: TTWeight) -> list[np.ndarray]:
+    # lefts[j]: cores 0..j-1 contracted to (k_0*...*k_{j-1}, r_j); the
+    # last entry, (P*Q, 1), is W in row-major order.
     lefts = [np.ones((1, 1))]
-    for j in range(len(w.row_dims)):
-        nxt = np.tensordot(lefts[-1], w.factors[j], axes=([1], [0]))
-        lefts.append(nxt.reshape(-1, w.factors[j].shape[2]))
+    for f in w.factors:
+        nxt = lefts[-1] @ f.reshape(f.shape[0], -1)
+        lefts.append(nxt.reshape(-1, f.shape[2]))
     return lefts
 
 
-def tt_forward(w: TTWeight, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Batched matrix-vector products y = W x without forming W.
+def reconstruct(w: TTWeight) -> np.ndarray:
+    """Contract the chain left to right and fold it to the P x Q matrix."""
+    return _lefts(w)[-1].reshape(w.rows, w.cols)
 
-    ``x`` has shape (B, Q); the result has shape (B, P).  The returned cache
-    feeds :func:`tt_vjp`.  Column modes are absorbed right-to-left into the
-    input, then the row modes are swept left-to-right; the largest
-    intermediate is (P, r); the dense P x Q matrix never exists.
+
+def tt_forward(w: TTWeight, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Batched matrix-vector products y = x W^T.
+
+    ``x`` has shape (B, Q); the result has shape (B, P).  The chain is
+    contracted to the dense W once per call, which at adapter sizes costs
+    less than sweeping the cores over the batch; the returned cache holds
+    the input and the left partial contractions and feeds :func:`tt_vjp`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w.cols:
         raise ValueError(f"input shape {x.shape} does not match {w.cols} columns")
-    b = x.shape[0]
-    xr = x.reshape((b, *w.col_dims))
-    states = _right_states(w, xr)
-    lefts = _left_partials(w)
-    y = states[-1] @ lefts[-1].T
-    return y, (states, lefts)
+    lefts = _lefts(w)
+    y = x @ lefts[-1].reshape(w.rows, w.cols).T
+    return y, (x, lefts)
 
 
 def tt_matvec(w: TTWeight, x: np.ndarray) -> np.ndarray:
@@ -356,66 +337,37 @@ def tt_vjp(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact gradients of sum(dy * (X W^T)) w.r.t. each core and the input.
 
+    dX = dy W and dW = dy^T X; core j's grad is L_j^T dW R_j^T, with L_j
+    the cores left of j (from the cache) and R_j the cores right of it.
     ``mask[j]`` False marks a frozen core: its contraction is skipped and a
     zero array is returned in its slot.  With ``groups`` = G, the B rows
-    are G consecutive groups of B/G rows (one group per sample) and every
-    core grad gets a leading axis of size G holding each group's own sum;
-    the sample axis survives until the last contraction over rows, so one
-    call gives every per-sample gradient.  Returns (core grads, dX).
+    are G consecutive groups of B/G rows (one group per sample): dW is
+    formed per group as a (G, P, Q) stack and every core grad gets a
+    leading axis of size G holding each group's own sum, so one call gives
+    every per-sample gradient.  Returns (core grads, dX).
     """
-    states, lefts = cache
-    a = len(w.row_dims)
-    j_total = w.chain_length
-    ranks = w.ranks
+    x, lefts = cache
     if mask is None:
-        mask = [True] * j_total
+        mask = [True] * w.chain_length
     n_groups = 1 if groups is None else groups
     if n_groups < 1 or dy.shape[0] % n_groups:
         raise ValueError(f"{dy.shape[0]} rows do not split into {groups} groups")
     per_group = dy.shape[0] // n_groups
-    cr = states[-1]
-    left = lefts[-1]
-    d_cr = dy @ left
-    # Frozen cores keep their zeros; every trained slot is filled below.
-    d_factors = [
-        None if keep else np.zeros((n_groups, *f.shape))
-        for f, keep in zip(w.factors, mask)
-    ]
-
-    if a:
-        # (G, P, r_a): the row contraction of dy^T cr, kept apart per group.
-        r_a = ranks[a]
-        dy_g = dy.reshape(n_groups, per_group, -1)
-        d_left = np.swapaxes(dy_g, 1, 2) @ cr.reshape(n_groups, per_group, r_a)
-        # Right partials of the row chain: rrows[j] holds factors j..a-1
-        # contracted to (r_j, k_j*...*k_{a-1}, r_a).
-        rrows: list[np.ndarray] = [np.zeros(0)] * (a + 1)
-        rrows[a] = np.eye(r_a)[:, None, :]
-        for j in range(a - 1, -1, -1):
-            nxt = np.tensordot(w.factors[j], rrows[j + 1], axes=([2], [0]))
-            rrows[j] = nxt.reshape(ranks[j], -1, r_a)
-        for j in range(a):
-            if not mask[j]:
-                continue
-            kl = lefts[j].shape[0]
-            kr = rrows[j + 1].shape[1]
-            dl = d_left.reshape(n_groups, kl, w.dims[j], kr, r_a)
-            t = np.tensordot(lefts[j], dl, axes=([0], [1]))
-            d = np.tensordot(t, rrows[j + 1], axes=([3, 4], [1, 2]))
-            d_factors[j] = np.moveaxis(d, 1, 0)
-
-    d_state = d_cr
-    for j in range(a, j_total):
-        n = d_state.ndim
+    dx = dy @ lefts[-1].reshape(w.rows, w.cols)
+    dy_g = dy.reshape(n_groups, per_group, w.rows)
+    d_w = np.swapaxes(dy_g, 1, 2) @ x.reshape(n_groups, per_group, w.cols)
+    d_factors = [np.zeros((n_groups, *f.shape)) for f in w.factors]
+    # right: cores j+1..J-1 contracted to (r_{j+1}, k_{j+1}*...*k_{J-1}).
+    right = np.ones((1, 1))
+    for j in range(w.chain_length - 1, -1, -1):
+        f = w.factors[j]
+        r0, k, r1 = f.shape
         if mask[j]:
-            # Contract the rows of each group and the absorbed column modes.
-            r_j = d_state.shape[-1]
-            lhs = d_state.reshape(n_groups, -1, r_j)
-            rhs = states[j_total - 1 - j].reshape(n_groups, lhs.shape[1], -1)
-            d = np.swapaxes(lhs, 1, 2) @ rhs
-            d_factors[j] = d.reshape(n_groups, *w.factors[j].shape)
-        d_state = np.tensordot(d_state, w.factors[j], axes=([n - 1], [0]))
-    dx = d_state.reshape(dy.shape[0], w.cols)
+            kl = lefts[j].shape[0]
+            t = lefts[j].T @ d_w.reshape(n_groups, kl, k * right.shape[1])
+            t = t.reshape(n_groups, r0 * k, right.shape[1]) @ right.T
+            d_factors[j] = t.reshape(n_groups, r0, k, r1)
+        right = (f.reshape(-1, r1) @ right).reshape(r0, -1)
     if groups is None:
         d_factors = [d[0] for d in d_factors]
     return d_factors, dx

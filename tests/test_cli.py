@@ -91,6 +91,13 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes("# caf\xe9\nseed = 3\n".encode("latin-1"))
+    assert main(["train", "--config", str(bad)]) == 1
+    assert "config error: config file is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_negative_seed_exits_1(tmp_path, capsys):
     cfg_path, _ = write_cfg(tmp_path, seed=21)
     assert main(["train", "--config", str(cfg_path), "--seed", "-1"]) == 1
@@ -151,6 +158,13 @@ def test_report_malformed_table_exits_1(tmp_path, capsys):
     rc = main(["report", "--table", str(table)])
     assert rc == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_report_non_utf8_table_exits_1(tmp_path, capsys):
+    table = tmp_path / "costs.csv"
+    table.write_bytes("Caf\xe9,60000,1\n".encode("latin-1"))
+    assert main(["report", "--table", str(table), "--reference", "Caf\xe9"]) == 1
+    assert "config error: cost table is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_inspect_lists_entries(tmp_path, capsys):
