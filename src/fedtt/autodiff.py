@@ -2,9 +2,12 @@
 
 Tape-based: every op returns a Tensor holding its parents and a vjp
 closure; ``backward`` walks the tape once in reverse topological order.
-Gradients are accumulated for every leaf; callers read the ones they care
-about.  An interior node's grad is dropped once its vjp has run, so the
-pass never holds every activation's grad at once.  All math is float64.
+A leaf requires grad unless built with ``requires_grad=False``; an op's
+output requires grad iff one of its parents does.  A node that requires
+none keeps no parents and no vjp, so a forward over such leaves records
+no tape, and ``backward`` neither visits it nor computes a grad for it.
+An interior node's grad is dropped once its vjp has run, so the pass never
+holds every activation's grad at once.  All math is float64.
 """
 
 from __future__ import annotations
@@ -15,16 +18,22 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "vjp")
+    __slots__ = ("data", "grad", "parents", "vjp", "requires_grad")
 
     def __init__(
         self,
         data,
         parents: tuple["Tensor", ...] = (),
         vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None,
+        requires_grad: bool = True,
     ):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        if parents:
+            requires_grad = any(p.requires_grad for p in parents)
+        if not requires_grad:
+            parents, vjp = (), None
+        self.requires_grad = requires_grad
         self.parents = parents
         self.vjp = vjp
 
@@ -37,6 +46,8 @@ class Tensor:
         seed = np.ones_like(self.data) if grad is None else np.asarray(grad, np.float64)
         if seed.shape != self.data.shape:
             raise ValueError(f"seed shape {seed.shape} does not match {self.data.shape}")
+        if not self.requires_grad:
+            return
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -50,13 +61,14 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node.parents:
-                stack.append((p, False))
+                if p.requires_grad:
+                    stack.append((p, False))
         self.grad = seed
         for node in reversed(order):
             if node.vjp is None or node.grad is None:
                 continue
             for parent, g in zip(node.parents, node.vjp(node.grad)):
-                if g is None:
+                if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
                     parent.grad = g
@@ -79,7 +91,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return Tensor(out, (a, b), vjp)
 
@@ -92,9 +107,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        da = g @ np.swapaxes(b.data, -1, -2)
-        db = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(da, a.data.shape), _unbroadcast(db, b.data.shape)
+        da = db = None
+        if a.requires_grad:
+            da = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        if b.requires_grad:
+            db = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        return da, db
 
     return Tensor(out, (a, b), vjp)
 
@@ -160,8 +178,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         ) * inv
         axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=axes)
-        dbias = g.sum(axis=axes)
+        dgain = (g * xhat).sum(axis=axes) if gain.requires_grad else None
+        dbias = g.sum(axis=axes) if bias.requires_grad else None
         return dx, dgain, dbias
 
     return Tensor(out, (x, gain, bias), vjp)

@@ -40,9 +40,9 @@ def _metrics_csv(metrics: list[RoundMetrics]) -> str:
 def _cmd_train(args) -> int:
     cfg = parse_config(args.config) if args.config else RunConfig()
     cfg = with_overrides(cfg, seed=args.seed, out=args.out, workers=args.workers)
-    metrics, final = run_training(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    metrics, final = run_training(cfg)
     (outdir / "config.txt").write_text(format_config(cfg), encoding="utf-8")
     (outdir / "metrics.csv").write_text(_metrics_csv(metrics), encoding="utf-8")
     save_checkpoint(outdir / "checkpoint.bin", final)

@@ -8,6 +8,7 @@ individual cores between rounds.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -327,8 +328,10 @@ class AdamW:
                 v = np.zeros_like(params[name])
                 t = 0
             t += 1
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
             m_hat = m / (1.0 - self.beta1**t)
             v_hat = v / (1.0 - self.beta2**t)
             update = m_hat / (np.sqrt(v_hat) + self.eps)
@@ -593,16 +596,28 @@ class ToyModel:
             )
 
     def _graph(
-        self, tokens: np.ndarray, use_adapters: bool = True, per_sample: bool = False
+        self,
+        tokens: np.ndarray,
+        use_adapters: bool = True,
+        per_sample: bool = False,
+        requires_grad: bool = True,
     ):
         """Logits and the trainables' leaf Tensors; ``per_sample`` gives each
-        trainable a grad with a leading sample axis."""
+        trainable a grad with a leading sample axis.
+
+        The frozen backbone's leaves never require grad, so the backward
+        stops where it begins; with ``requires_grad`` False the trainables'
+        do not either, and the forward records no tape.
+        """
         tokens = _validate_tokens(self.cfg, tokens)
         groups = len(tokens) if per_sample else None
         ts: dict[str, ad.Tensor] = {
-            k: ad.Tensor(v) for k, v in self.backbone.items()
+            k: ad.Tensor(v, requires_grad=False) for k, v in self.backbone.items()
         }
-        param_ts = {k: ad.Tensor(v) for k, v in self._params.items()}
+        param_ts = {
+            k: ad.Tensor(v, requires_grad=requires_grad)
+            for k, v in self._params.items()
+        }
         hooks = None
         if use_adapters:
             hooks = []
@@ -639,7 +654,7 @@ class ToyModel:
         return logits, param_ts
 
     def logits(self, tokens: np.ndarray, use_adapters: bool = True) -> np.ndarray:
-        out, _ = self._graph(tokens, use_adapters)
+        out, _ = self._graph(tokens, use_adapters, requires_grad=False)
         return out.data
 
     def loss_and_grads(
@@ -714,17 +729,29 @@ def pretrain_backbone(
             cursor = 0
         idx = order[cursor : cursor + batch_size]
         cursor += batch_size
-        ts = {k: ad.Tensor(v) for k, v in params.items()}
-        pooled = encode(cfg, ts, _validate_tokens(cfg, tokens[idx]))
-        logits = ad.add(ad.matmul(pooled, ts["head.w"]), ts["head.b"])
-        loss = ad.cross_entropy(logits, labels[idx])
-        loss.backward()
-        grads = {
-            k: (ts[k].grad if ts[k].grad is not None else np.zeros_like(v))
-            for k, v in params.items()
-        }
-        opt.step(params, grads)
+        opt.step(params, _pretrain_grads(cfg, params, tokens[idx], labels[idx]))
     return {k: v for k, v in params.items() if not k.startswith("head.")}
+
+
+def _pretrain_grads(
+    cfg: ModelConfig,
+    params: Mapping[str, np.ndarray],
+    tokens: np.ndarray,
+    labels: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Every pretraining parameter's gradient on one batch.
+
+    The tape lives only in this call, so it is freed before the optimizer
+    step and the next batch's forward: one step's tape is alive at a time.
+    """
+    ts = {k: ad.Tensor(v) for k, v in params.items()}
+    pooled = encode(cfg, ts, _validate_tokens(cfg, tokens))
+    logits = ad.add(ad.matmul(pooled, ts["head.w"]), ts["head.b"])
+    ad.cross_entropy(logits, labels).backward()
+    return {
+        k: (ts[k].grad if ts[k].grad is not None else np.zeros_like(v))
+        for k, v in params.items()
+    }
 
 
 # The ModelConfig fields pretraining reads; adapter and head settings are
@@ -777,8 +804,28 @@ def _pretrained_backbone(
     )
     for arr in backbone.values():
         arr.flags.writeable = False
+    _trim_heap()
     return backbone
 
 
 get_pretrained_backbone.cache_info = _pretrained_backbone.cache_info
 get_pretrained_backbone.cache_clear = _pretrained_backbone.cache_clear
+
+
+def _trim_heap() -> None:
+    """Give the C heap's free pages back to the OS (glibc's ``malloc_trim``).
+
+    Each pretraining step builds and frees a tape of several MB.  glibc's
+    main heap shrinks only from its top, so one small block left live above
+    the freed tapes keeps them resident for the rest of the process, and
+    whether one is left there changes from run to run with the allocation
+    history.  ``malloc_trim`` also releases the free pages below the top.
+    Where libc has no ``malloc_trim`` this does nothing.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)

@@ -216,3 +216,114 @@ def test_backward_with_seed_scales_the_ones_seed(rng):
     assert np.allclose(seeded.grad, ones.grad, atol=1e-14)
     with pytest.raises(ValueError, match="seed shape"):
         ad.tanh(ad.Tensor(x)).backward(np.ones(3))
+
+
+# ---------------------------------------------------------- requires_grad
+
+
+def assert_pruned_grads_bitwise(build, arrays, frozen):
+    """Backward through ``build`` with the leaves named in ``frozen`` built
+    without requires_grad: they get no grad, and every other leaf's grad is
+    bitwise that of the same graph with every leaf requiring grad."""
+    runs = []
+    for off in (frozen, ()):
+        leaves = {
+            k: ad.Tensor(v, requires_grad=k not in off) for k, v in arrays.items()
+        }
+        build(leaves).backward()
+        runs.append(leaves)
+    pruned, full = runs
+    for k in arrays:
+        if k in frozen:
+            assert pruned[k].grad is None, k
+        else:
+            assert np.array_equal(pruned[k].grad, full[k].grad), k
+
+
+def test_frozen_leaf_collects_no_grad_and_its_ops_record_no_tape(rng):
+    w = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=False)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=False)
+    inner = ad.relu(ad.matmul(x, w))
+    assert not inner.requires_grad
+    assert inner.parents == () and inner.vjp is None
+    b = ad.Tensor(rng.normal(size=(2,)))
+    out = ad.add(inner, b)
+    assert out.requires_grad and out.parents == (inner, b)
+    out.backward()
+    assert w.grad is None and x.grad is None and inner.grad is None
+    assert np.array_equal(b.grad, np.full(2, 3.0))
+
+
+def test_matmul_prunes_either_side_bitwise(rng):
+    arrays = {"a": rng.normal(size=(5, 3, 4)), "b": rng.normal(size=(4, 2))}
+
+    def build(t):
+        return ad.tanh(ad.matmul(t["a"], t["b"]))
+
+    assert_pruned_grads_bitwise(build, arrays, ("a",))
+    assert_pruned_grads_bitwise(build, arrays, ("b",))
+
+
+def test_broadcasting_add_prunes_either_side_bitwise(rng):
+    arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4,))}
+
+    def build(t):
+        return ad.tanh(ad.add(t["a"], t["b"]))
+
+    assert_pruned_grads_bitwise(build, arrays, ("a",))
+    assert_pruned_grads_bitwise(build, arrays, ("b",))
+
+
+def test_layer_norm_with_frozen_gain_and_bias_bitwise(rng):
+    arrays = {
+        "x": rng.normal(size=(2, 5, 8)),
+        "w": rng.normal(size=(8, 8)),
+        "gain": rng.normal(size=8),
+        "bias": rng.normal(size=8),
+    }
+
+    def build(t):
+        h = ad.matmul(t["x"], t["w"])
+        return ad.tanh(ad.layer_norm(h, t["gain"], t["bias"]))
+
+    assert_pruned_grads_bitwise(build, arrays, ("gain", "bias"))
+    assert_pruned_grads_bitwise(build, arrays, ("x", "gain", "bias"))
+    # A frozen input straight into the norm: its dx is dropped, not stored.
+    del arrays["w"]
+
+    def norm_only(t):
+        return ad.tanh(ad.layer_norm(t["x"], t["gain"], t["bias"]))
+
+    assert_pruned_grads_bitwise(norm_only, arrays, ("x",))
+
+
+def test_embedding_with_frozen_table_bitwise(rng):
+    ids = np.array([[1, 1, 4], [0, 6, 1]])
+    arrays = {"table": rng.normal(size=(7, 3)), "pos": rng.normal(size=(3, 3))}
+
+    def build(t):
+        return ad.tanh(ad.add(ad.embedding(t["table"], ids), t["pos"]))
+
+    assert_pruned_grads_bitwise(build, arrays, ("table",))
+
+
+def test_diamond_graph_with_frozen_weights_bitwise(rng):
+    arrays = {
+        "x": rng.normal(size=(2, 3)),
+        "a": rng.normal(size=(3, 3)),
+        "b": rng.normal(size=(3, 3)),
+    }
+
+    def build(t):
+        return ad.add(ad.matmul(t["x"], t["a"]), ad.matmul(t["x"], t["b"]))
+
+    assert_pruned_grads_bitwise(build, arrays, ("a", "b"))
+    assert_pruned_grads_bitwise(build, arrays, ("x", "b"))
+
+
+def test_backward_from_a_root_needing_no_grad_is_a_no_op(rng):
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=False)
+    w = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=False)
+    out = ad.tanh(ad.matmul(x, w))
+    out.backward()
+    assert out.grad is None and x.grad is None and w.grad is None

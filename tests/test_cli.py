@@ -128,6 +128,19 @@ def test_unwritable_out_dir_exits_3(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_unusable_out_dir_fails_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(cfg):
+        raise AssertionError("trained before checking the output directory")
+
+    monkeypatch.setattr("fedtt.cli.run_training", no_training)
+    cfg_path, _ = write_cfg(tmp_path, rounds=1)
+    blocker = tmp_path / "occupied"
+    blocker.write_text("")
+    rc = main(["train", "--config", str(cfg_path), "--out", str(blocker / "sub")])
+    assert rc == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_report_prints_ratio_column(tmp_path, capsys):
     table = tmp_path / "costs.csv"
     table.write_text(

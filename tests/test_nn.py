@@ -199,6 +199,21 @@ def test_adamw_reset_restarts_moments(rng):
     assert np.allclose(before - params["a"], 0.1 * np.sign(g["a"]), atol=1e-6)
 
 
+def test_adamw_updates_moments_in_place_with_the_same_arithmetic(rng):
+    params = {"a": rng.normal(size=(3, 2))}
+    g1, g2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    opt = AdamW(lr=0.01)
+    opt.step(params, {"a": g1})
+    m, v, _ = opt.state["a"]
+    m_want = 0.9 * m + (1.0 - 0.9) * g2
+    v_want = 0.999 * v + (1.0 - 0.999) * g2 * g2
+    opt.step(params, {"a": g2})
+    m2, v2, t = opt.state["a"]
+    assert m2 is m and v2 is v and t == 2
+    np.testing.assert_array_equal(m2, m_want)
+    np.testing.assert_array_equal(v2, v_want)
+
+
 def test_adamw_step_subset_of_names(rng):
     params = {"a": np.ones(2), "b": np.ones(2)}
     grads = {"a": np.ones(2), "b": np.ones(2)}
@@ -333,6 +348,33 @@ def test_model_evaluate_matches_direct_computation(small_setup):
     want_loss = float(-logp[np.arange(len(lab)), lab].mean())
     assert acc == want_acc
     assert abs(loss - want_loss) < 1e-12
+
+
+@pytest.mark.parametrize("head_mode", ["tensorized", "dense"])
+def test_logits_record_no_tape_and_match_the_training_graph(
+    small_setup, head_mode, monkeypatch
+):
+    cfg, backbone, corpus = small_setup
+    from dataclasses import replace
+
+    model = ToyModel(replace(cfg, head_mode=head_mode), backbone,
+                     np.random.default_rng(0))
+    rng = np.random.default_rng(4)
+    for adapter in model.adapters.values():
+        randomize_adapter(adapter, rng)
+    tok = corpus.tokens[:7]
+    trained, _ = model._graph(tok)  # the graph loss_and_grads builds
+    assert trained.requires_grad and trained.parents
+
+    built = []
+    graph = model._graph
+    monkeypatch.setattr(
+        model, "_graph", lambda *a, **k: built.append(graph(*a, **k)) or built[-1]
+    )
+    logits = model.logits(tok)
+    (node, _), = built
+    assert node.parents == () and node.vjp is None
+    assert np.array_equal(logits, trained.data)
 
 
 def test_dense_head_mode(small_setup):
