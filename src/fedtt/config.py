@@ -7,6 +7,7 @@ defaults.  ``format_config`` emits every key of the resolved config and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -87,6 +88,12 @@ class DataSettings:
             raise ValueError(f"data.partition must be one of {PARTITION_MODES}")
         if self.proportions is not None and self.partition != "proportions":
             raise ValueError("data.proportions is only valid with data.partition = proportions")
+        for i, row in enumerate(self.proportions or ()):
+            if len(row) != self.classes:
+                raise ValueError(
+                    f"data.proportions row {i} has {len(row)} entries for "
+                    f"{self.classes} classes"
+                )
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,10 @@ def _parse_value(key: str, kind: str, raw: str):
         if kind == "int":
             return int(raw, 10)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return value
         if kind == "bool":
             if raw == "true":
                 return True
@@ -231,12 +241,6 @@ def validate_config(cfg: RunConfig) -> None:
             PartitionSpec(cfg.data.partition, cfg.fed.num_clients, cfg.data.proportions)
         except ValueError as e:
             raise ConfigError(f"data.proportions: {e}") from e
-        for i, row in enumerate(cfg.data.proportions):
-            if len(row) != cfg.data.classes:
-                raise ConfigError(
-                    f"data.proportions row {i} has {len(row)} entries for "
-                    f"{cfg.data.classes} classes"
-                )
     train_total = cfg.data.classes * cfg.data.per_class
     if train_total < cfg.fed.num_clients:
         raise ConfigError(

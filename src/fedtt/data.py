@@ -128,11 +128,12 @@ def partition(
         return _cut(order, sizes)
 
     # proportions
-    if len(spec.proportions[0]) != corpus.num_classes:
-        raise ValueError(
-            f"proportion rows have {len(spec.proportions[0])} entries for "
-            f"{corpus.num_classes} classes"
-        )
+    for i, row in enumerate(spec.proportions):
+        if len(row) != corpus.num_classes:
+            raise ValueError(
+                f"proportion row {i} has {len(row)} entries for "
+                f"{corpus.num_classes} classes"
+            )
     pools = []
     for c in range(corpus.num_classes):
         pool = np.flatnonzero(corpus.labels == c)

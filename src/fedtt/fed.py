@@ -365,8 +365,8 @@ class FederatedRunner:
                     sigma,
                 )
             )
-        # local_update overwrites a model's whole trainable state and masks,
-        # so one model per worker thread serves every client.
+        # A model holds no state but its trainable values, which local_update
+        # overwrites, so one model per worker thread serves every client.
         self.models = [
             ToyModel(mc, backbone, np.random.default_rng(init_ss))
             for _ in range(min(fc.workers, fc.clients_per_round))

@@ -2,8 +2,9 @@
 
 The trainable surface of a model is a flat, insertion-ordered mapping from
 parameter names to float64 arrays; everything federated operates on that
-mapping.  TT layers carry a per-core trainable mask so a protocol can freeze
-individual cores between rounds.
+mapping.  A parameter is frozen for one pass by building its autodiff leaf
+with ``requires_grad=False``: the backward then computes no grad for it, and
+a TT layer skips a frozen core's contraction.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class TensorizedLinear:
         self,
         weight: tt.TTWeight,
         bias: np.ndarray | None = None,
-        trainable_mask: list[bool] | None = None,
     ):
         self.weight = weight
         if bias is not None:
@@ -62,11 +62,6 @@ class TensorizedLinear:
                     f"bias shape {bias.shape} does not match {weight.rows} outputs"
                 )
         self.bias = bias
-        if trainable_mask is None:
-            trainable_mask = [True] * weight.chain_length
-        if len(trainable_mask) != weight.chain_length:
-            raise ValueError("one mask entry per core required")
-        self.trainable_mask = list(trainable_mask)
 
     @property
     def in_features(self) -> int:
@@ -104,7 +99,6 @@ class TensorizedLinear:
         return TensorizedLinear(
             self.weight.copy(),
             None if self.bias is None else self.bias.copy(),
-            list(self.trainable_mask),
         )
 
 
@@ -120,14 +114,16 @@ def tt_linear_node(
     bias_t: ad.Tensor | None,
     groups: int | None = None,
 ) -> ad.Tensor:
-    """The layer as one tape node over x, its cores and its bias."""
+    """The layer as one tape node over x, its cores and its bias.
+
+    A core whose Tensor requires no grad is frozen: its contraction is skipped.
+    """
     y, cache = layer.forward_cached(x.data)
     parents = (x, *factor_ts) + ((bias_t,) if bias_t is not None else ())
+    mask = [f.requires_grad for f in factor_ts]
 
     def vjp(g):
-        d_factors, dx = tt.tt_vjp(
-            layer.weight, cache, g, layer.trainable_mask, groups
-        )
+        d_factors, dx = tt.tt_vjp(layer.weight, cache, g, mask, groups)
         grads = [dx, *d_factors]
         if bias_t is not None:
             grads.append(_row_sum(g, groups))
@@ -139,10 +135,7 @@ def tt_linear_node(
 def linear_backward(
     layer: TensorizedLinear, x: np.ndarray, dy: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray | None, np.ndarray]:
-    """Exact gradients of sum(dy * forward(x)) for each core, bias, and x.
-
-    Cores with a False trainable mask come back as zero arrays.
-    """
+    """Exact gradients of sum(dy * forward(x)) for each core, bias, and x."""
     x_t = ad.Tensor(x)
     factor_ts = [ad.Tensor(f) for f in layer.weight.factors]
     bias_t = None if layer.bias is None else ad.Tensor(layer.bias)
@@ -451,27 +444,27 @@ def encode(
     cfg: ModelConfig,
     t: Mapping[str, ad.Tensor],
     tokens: np.ndarray,
-    adapter_hooks=None,
+    adapt=None,
 ) -> ad.Tensor:
     """Embed, run the blocks (adapters optionally spliced in), mean-pool.
 
-    ``adapter_hooks`` is a list of (attn_hook, mlp_hook) pairs per block;
-    each hook maps the sublayer output Tensor to a Tensor of the same shape.
+    ``adapt(path, out)`` maps a sublayer's output Tensor to one of the same
+    shape; ``path`` names the sublayer's adapter, ``blocks.{i}.adapter.attn``
+    or ``blocks.{i}.adapter.mlp``.
     """
     x = ad.add(ad.embedding(t["embed.tok"], tokens), t["embed.pos"])
     for i in range(cfg.num_blocks):
         p = f"blocks.{i}."
-        attn_hook, mlp_hook = adapter_hooks[i] if adapter_hooks else (None, None)
         h = ad.layer_norm(x, t[p + "ln1.g"], t[p + "ln1.b"])
         out = _attention(cfg, t, p, h)
-        if attn_hook is not None:
-            out = attn_hook(out)
+        if adapt is not None:
+            out = adapt(p + "adapter.attn", out)
         x = ad.add(x, out)
         h = ad.layer_norm(x, t[p + "ln2.g"], t[p + "ln2.b"])
         mid = ad.relu(ad.add(ad.matmul(h, t[p + "mlp.w1"]), t[p + "mlp.b1"]))
         out = ad.add(ad.matmul(mid, t[p + "mlp.w2"]), t[p + "mlp.b2"])
-        if mlp_hook is not None:
-            out = mlp_hook(out)
+        if adapt is not None:
+            out = adapt(p + "adapter.mlp", out)
         x = ad.add(x, out)
     return ad.mean_axis(x, 1)
 
@@ -531,7 +524,6 @@ class ToyModel:
     def _index_params(self) -> None:
         self._params: dict[str, np.ndarray] = {}
         self._meta: dict[str, ParamMeta] = {}
-        self._factor_slots: dict[str, tuple[TensorizedLinear, int]] = {}
         for apath, adapter in self.adapters.items():
             for side, layer in (("down", adapter.down), ("up", adapter.up)):
                 j_total = layer.weight.chain_length
@@ -539,7 +531,6 @@ class ToyModel:
                     name = f"{apath}.{side}.f{j}"
                     self._params[name] = f
                     self._meta[name] = ParamMeta("adapter_factor", j, j_total, f.size)
-                    self._factor_slots[name] = (layer, j)
                 if layer.bias is not None:
                     name = f"{apath}.{side}.bias"
                     self._params[name] = layer.bias
@@ -550,7 +541,6 @@ class ToyModel:
                 name = f"head.f{j}"
                 self._params[name] = f
                 self._meta[name] = ParamMeta("head_factor", j, j_total, f.size)
-                self._factor_slots[name] = (self.head, j)
             self._params["head.bias"] = self.head.bias
             self._meta["head.bias"] = ParamMeta("head_bias", size=self.head.bias.size)
         else:
@@ -588,26 +578,20 @@ class ToyModel:
         for k, arr in self._params.items():
             np.copyto(arr, values[k])
 
-    def set_factor_masks(self, trainable_names) -> None:
-        """Mark TT cores frozen/unfrozen; None unfreezes everything."""
-        for name, (layer, j) in self._factor_slots.items():
-            layer.trainable_mask[j] = (
-                True if trainable_names is None else name in trainable_names
-            )
-
     def _graph(
         self,
         tokens: np.ndarray,
+        trainable=None,
         use_adapters: bool = True,
         per_sample: bool = False,
-        requires_grad: bool = True,
     ):
         """Logits and the trainables' leaf Tensors; ``per_sample`` gives each
         trainable a grad with a leading sample axis.
 
-        The frozen backbone's leaves never require grad, so the backward
-        stops where it begins; with ``requires_grad`` False the trainables'
-        do not either, and the forward records no tape.
+        A trainable's leaf requires grad iff ``trainable`` is None or names
+        it, and the frozen backbone's leaves never do, so the backward stops
+        at whatever does not train; with ``trainable`` empty the forward
+        records no tape.
         """
         tokens = _validate_tokens(self.cfg, tokens)
         groups = len(tokens) if per_sample else None
@@ -615,31 +599,18 @@ class ToyModel:
             k: ad.Tensor(v, requires_grad=False) for k, v in self.backbone.items()
         }
         param_ts = {
-            k: ad.Tensor(v, requires_grad=requires_grad)
+            k: ad.Tensor(v, requires_grad=trainable is None or k in trainable)
             for k, v in self._params.items()
         }
-        hooks = None
-        if use_adapters:
-            hooks = []
-            for i in range(self.cfg.num_blocks):
-                pair = []
-                for pos in ("attn", "mlp"):
-                    apath = f"blocks.{i}.adapter.{pos}"
-                    adapter = self.adapters[apath]
-                    local = {
-                        n: param_ts[f"{apath}.{n}"] for n in adapter.named_params()
-                    }
 
-                    def hook(x, adapter=adapter, local=local):
-                        b, s, d = x.shape
-                        flat = ad.reshape(x, (b * s, d))
-                        return ad.reshape(
-                            adapter.node(flat, local, groups), (b, s, d)
-                        )
+        def adapt(path: str, x: ad.Tensor) -> ad.Tensor:
+            adapter = self.adapters[path]
+            local = {n: param_ts[f"{path}.{n}"] for n in adapter.named_params()}
+            b, s, d = x.shape
+            flat = ad.reshape(x, (b * s, d))
+            return ad.reshape(adapter.node(flat, local, groups), (b, s, d))
 
-                    pair.append(hook)
-                hooks.append(tuple(pair))
-        pooled = encode(self.cfg, ts, tokens, hooks)
+        pooled = encode(self.cfg, ts, tokens, adapt if use_adapters else None)
         if self.head is not None:
             factor_ts = [
                 param_ts[f"head.f{j}"] for j in range(self.head.weight.chain_length)
@@ -654,7 +625,7 @@ class ToyModel:
         return logits, param_ts
 
     def logits(self, tokens: np.ndarray, use_adapters: bool = True) -> np.ndarray:
-        out, _ = self._graph(tokens, use_adapters, requires_grad=False)
+        out, _ = self._graph(tokens, (), use_adapters)
         return out.data
 
     def loss_and_grads(
@@ -671,19 +642,16 @@ class ToyModel:
         (B, *param.shape): samples never mix in the model, so the backward
         is seeded with the unreduced per-row cross-entropy gradient and
         the TT layers keep the sample axis through their last contraction.
+        Parameters outside ``trainable_names`` are frozen for this call.
         """
-        self.set_factor_masks(trainable_names)
-        logits, param_ts = self._graph(tokens, per_sample=per_sample)
+        logits, param_ts = self._graph(tokens, trainable_names, per_sample=per_sample)
         loss = ad.cross_entropy(logits, np.asarray(labels), reduce=not per_sample)
         loss.backward()
-        names = self._params if trainable_names is None else trainable_names
         lead = (len(tokens),) if per_sample else ()
         grads = {}
-        for n in self._params:
-            if n not in names:
-                continue
-            g = param_ts[n].grad
-            grads[n] = np.zeros(lead + self._params[n].shape) if g is None else g
+        for n, t in param_ts.items():
+            if t.requires_grad:
+                grads[n] = np.zeros(lead + t.shape) if t.grad is None else t.grad
         if per_sample:
             return loss.data, grads
         return float(loss.data), grads

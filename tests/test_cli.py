@@ -108,6 +108,17 @@ def test_negative_seed_exits_1(tmp_path, capsys):
     assert "config error: seed must be non-negative" in capsys.readouterr().err
 
 
+def test_non_finite_float_exits_1_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(cfg):
+        raise AssertionError("trained on a non-finite learning rate")
+
+    monkeypatch.setattr("fedtt.cli.run_training", no_training)
+    bad = tmp_path / "nan.cfg"
+    bad.write_text("fed.lr = nan\n")
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    assert "config error: fed.lr" in capsys.readouterr().err
+
+
 def test_divergent_run_exits_2(tmp_path, capsys):
     cfg_path, _ = write_cfg(tmp_path, seed=5, rounds=2, local_updates=3,
                             lr=1e9, weight_decay=1e9)

@@ -3,6 +3,7 @@
 import pytest
 
 from fedtt.config import (
+    _SCHEMA,
     DataSettings,
     ModelSettings,
     RunConfig,
@@ -210,6 +211,35 @@ def test_proportions_cross_validation():
             "data.partition = proportions\n"
             "data.proportions = nan,1.0;0.5,0.5\n"
         )
+
+
+@pytest.mark.parametrize(
+    "key", [k for k, (_, _, kind) in _SCHEMA.items() if kind == "float"]
+)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_floats_are_rejected(key, raw):
+    with pytest.raises(ConfigError, match=f"{key}: .*not a finite number"):
+        parse_config_text(f"{key} = {raw}\n")
+
+
+def test_float_keys_include_every_rate_and_dp_setting():
+    floats = {k for k, (_, _, kind) in _SCHEMA.items() if kind == "float"}
+    assert floats >= {"fed.lr", "fed.weight_decay", "model.pretrain_lr",
+                      "dp.clip", "dp.sigma", "dp.epsilon", "dp.c0"}
+
+
+def test_every_proportion_row_must_match_the_class_count():
+    head = "fed.num_clients = 3\ndata.classes = 3\ndata.partition = proportions\n"
+    for rows, bad in (
+        ("0,0,1;0.5,0.5;0.5,0.5", 1),
+        ("0,0,1;0.25,0.25,0.25,0.25;1,0,0", 1),
+        ("0,0,1;1,0,0;0.5,0.5", 2),
+    ):
+        with pytest.raises(ConfigError, match=f"row {bad} has .* for 3 classes"):
+            parse_config_text(head + f"data.proportions = {rows}\n")
+    with pytest.raises(ValueError, match="row 1 has 2 entries for 3 classes"):
+        DataSettings(classes=3, partition="proportions",
+                     proportions=((0.0, 0.0, 1.0), (0.5, 0.5), (0.5, 0.5)))
 
 
 def test_dp_cross_validation():

@@ -153,6 +153,20 @@ def test_proportions_partition_rejects_wrong_class_count(corpus):
         partition(corpus, spec, seed=0)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((0.0, 0.0, 1.0), (0.5, 0.5), (0.5, 0.5)),  # silently dropped class 2
+        ((0.0, 0.0, 1.0), (0.25, 0.25, 0.25, 0.25), (1.0, 0.0, 0.0)),
+    ],
+)
+def test_proportions_partition_checks_every_row(rows):
+    corpus = generate_corpus(3, 20, 6, 8, seed=0)
+    spec = PartitionSpec("proportions", 3, proportions=rows)
+    with pytest.raises(ValueError, match="row 1 has .* for 3 classes"):
+        partition(corpus, spec, seed=0)
+
+
 def test_partition_spec_validation():
     with pytest.raises(ValueError, match="mode"):
         PartitionSpec("banana", 2)

@@ -16,7 +16,11 @@ from fedtt.nn import (
     init_backbone,
     linear_backward,
     pretrain_backbone,
+    tt_linear_node,
 )
+from fedtt import autodiff as ad
+from fedtt import tt
+from fedtt.fed import select_trainable
 from fedtt.tt import reconstruct
 
 from conftest import TINY_MODEL, tiny_run_config
@@ -75,12 +79,42 @@ def test_linear_backward_matches_fd(rng):
     assert np.allclose(dx, fd(loss, x), atol=1e-7)
 
 
-def test_linear_frozen_cores_return_zero_grads(rng):
-    layer = TensorizedLinear.create(4, 6, 2, rng)
-    layer.trainable_mask[1] = False
-    d_factors, _, _ = linear_backward(layer, rng.normal(size=(2, 6)), rng.normal(size=(2, 4)))
-    assert not d_factors[1].any()
-    assert d_factors[0].any()
+def test_linear_node_skips_a_frozen_core(rng, monkeypatch):
+    layer = TensorizedLinear.create(6, 8, 2, rng)
+    layer.bias[:] = rng.normal(size=6)
+    x = rng.normal(size=(3, 8))
+    dy = rng.normal(size=(3, 6))
+    vjp_factors = []  # the core grads tt_vjp returns, per call
+    vjp = tt.tt_vjp
+
+    def spy(*args):
+        out = vjp(*args)
+        vjp_factors.append(out[0])
+        return out
+
+    monkeypatch.setattr(tt, "tt_vjp", spy)
+
+    def grads(frozen):
+        x_t = ad.Tensor(x)
+        factor_ts = [
+            ad.Tensor(f, requires_grad=j != frozen)
+            for j, f in enumerate(layer.weight.factors)
+        ]
+        bias_t = ad.Tensor(layer.bias)
+        tt_linear_node(x_t, layer, factor_ts, bias_t).backward(dy)
+        return [t.grad for t in factor_ts], bias_t.grad, x_t.grad
+
+    all_factors, all_bias, all_x = grads(None)
+    assert all(g.any() for g in all_factors)
+    for frozen in range(layer.weight.chain_length):
+        factors, bias, dx = grads(frozen)
+        assert factors[frozen] is None
+        assert not vjp_factors[-1][frozen].any()  # its contraction was skipped
+        for j, g in enumerate(factors):
+            if j != frozen:
+                assert np.array_equal(g, all_factors[j]), (frozen, j)
+        assert np.array_equal(bias, all_bias)
+        assert np.array_equal(dx, all_x)
 
 
 def test_linear_bias_shape_checked(rng):
@@ -323,6 +357,32 @@ def test_model_selected_names_filter_grads(small_setup):
     keep = ["head.bias", "blocks.0.adapter.attn.down.f0"]
     _, grads = model.loss_and_grads(corpus.tokens[:4], corpus.labels[:4], keep)
     assert set(grads) == set(keep)
+
+
+def test_model_keeps_no_frozen_state_between_calls(small_setup):
+    cfg, backbone, corpus = small_setup
+    from dataclasses import replace
+
+    cfg = replace(cfg, bottleneck=24)  # 4-core chains: fedtt_plus freezes one
+
+    def model():
+        m = ToyModel(cfg, backbone, np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        for adapter in m.adapters.values():
+            randomize_adapter(adapter, rng)
+        return m
+
+    tok, lab = corpus.tokens[:6], corpus.labels[:6]
+    used = model()
+    subset = select_trainable(1, cfg.adapter_chain_length, "fedtt_plus")
+    names = subset.trainable_names(used.param_meta())
+    _, part = used.loss_and_grads(tok, lab, set(names))
+    assert list(part) == names and len(names) < len(used.trainables())
+    loss, grads = used.loss_and_grads(tok, lab)
+    fresh_loss, fresh = model().loss_and_grads(tok, lab)
+    assert loss == fresh_loss and list(grads) == list(fresh)
+    for n, g in fresh.items():
+        assert np.array_equal(grads[n], g), n
 
 
 def test_model_rejects_bad_tokens(small_setup):
