@@ -14,10 +14,10 @@ from .fed import (
     FedConfig,
     FederatedRunner,
     RoundMetrics,
-    TrainableSelection,
     aggregate,
     run_training,
-    select_trainable,
+    trainable_names,
+    unfrozen_cores,
 )
 from .nn import ModelConfig, TensorizedAdapter, TensorizedLinear, ToyModel
 from .privacy import DPConfig, noise_multiplier
@@ -54,7 +54,6 @@ __all__ = [
     "TensorizedAdapter",
     "TensorizedLinear",
     "ToyModel",
-    "TrainableSelection",
     "TTWeight",
     "aggregate",
     "comm_report",
@@ -71,11 +70,12 @@ __all__ = [
     "reconstruct",
     "run_training",
     "save_checkpoint",
-    "select_trainable",
     "shape_plan_for",
+    "trainable_names",
     "tt_forward",
     "tt_matvec",
     "tt_svd",
     "tt_vjp",
+    "unfrozen_cores",
     "__version__",
 ]

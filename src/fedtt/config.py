@@ -24,7 +24,6 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "format_config",
-    "validate_config",
     "with_overrides",
 ]
 
@@ -55,8 +54,8 @@ class ModelSettings:
     def __post_init__(self) -> None:
         if self.pretrain_steps < 0:
             raise ValueError("model.pretrain_steps must be non-negative")
-        if self.pretrain_lr <= 0:
-            raise ValueError("model.pretrain_lr must be positive")
+        if not 0 < self.pretrain_lr < math.inf:
+            raise ValueError("model.pretrain_lr must be finite and positive")
         if self.pretrain_batch < 1 or self.pretrain_per_class < 1:
             raise ValueError("model.pretrain_batch and model.pretrain_per_class must be positive")
         if self.backbone_seed < 0:
@@ -106,8 +105,28 @@ class RunConfig:
     out: str = "out"
 
     def __post_init__(self) -> None:
+        """Cross-field checks that single sections cannot see."""
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        mc = self.model.to_model_config(self.data.classes)
+        if self.fed.algorithm == "fedtt_plus" and mc.adapter_chain_length < 3:
+            raise ValueError(
+                "fed.algorithm = fedtt_plus needs adapter chains of length >= 3; "
+                f"model.bottleneck = {self.model.bottleneck} and model.d_model = "
+                f"{self.model.d_model} give chains of length {mc.adapter_chain_length}"
+            )
+        if self.data.partition == "proportions":
+            if self.data.proportions is None:
+                raise ValueError("data.partition = proportions requires data.proportions")
+            try:
+                PartitionSpec(self.data.partition, self.fed.num_clients, self.data.proportions)
+            except ValueError as e:
+                raise ValueError(f"data.proportions: {e}") from e
+        train_total = self.data.classes * self.data.per_class
+        if train_total < self.fed.num_clients:
+            raise ValueError(
+                f"{train_total} training sequences cannot cover {self.fed.num_clients} clients"
+            )
 
 
 def _schema() -> dict[str, tuple[str, str, str]]:
@@ -209,7 +228,7 @@ def _build(values: dict[str, object]) -> RunConfig:
         section, fname, _ = _SCHEMA[key]
         by_section[section][fname] = val
     try:
-        cfg = RunConfig(
+        return RunConfig(
             model=ModelSettings(**by_section["model"]),
             fed=FedConfig(**by_section["fed"]),
             data=DataSettings(**by_section["data"]),
@@ -218,34 +237,6 @@ def _build(values: dict[str, object]) -> RunConfig:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Cross-field checks that single sections cannot see."""
-    try:
-        mc = cfg.model.to_model_config(cfg.data.classes)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    if cfg.fed.algorithm == "fedtt_plus" and mc.adapter_chain_length < 3:
-        raise ConfigError(
-            "fed.algorithm = fedtt_plus needs adapter chains of length >= 3; "
-            f"model.bottleneck = {cfg.model.bottleneck} and model.d_model = "
-            f"{cfg.model.d_model} give chains of length {mc.adapter_chain_length}"
-        )
-    if cfg.data.partition == "proportions":
-        if cfg.data.proportions is None:
-            raise ConfigError("data.partition = proportions requires data.proportions")
-        try:
-            PartitionSpec(cfg.data.partition, cfg.fed.num_clients, cfg.data.proportions)
-        except ValueError as e:
-            raise ConfigError(f"data.proportions: {e}") from e
-    train_total = cfg.data.classes * cfg.data.per_class
-    if train_total < cfg.fed.num_clients:
-        raise ConfigError(
-            f"{train_total} training sequences cannot cover {cfg.fed.num_clients} clients"
-        )
 
 
 def format_config(cfg: RunConfig) -> str:

@@ -1,6 +1,7 @@
 """Federated averaging over tensor-train payloads.
 
-Two algorithms share one round loop:
+Two algorithms share one round loop and differ only in which adapter cores
+train in a round, a rule :func:`unfrozen_cores` states once:
 
 * ``fedtt``      : every adapter core is trainable and transmitted.
 * ``fedtt_plus`` : per round only cores {1, r, J} of each chain are
@@ -9,12 +10,18 @@ Two algorithms share one round loop:
   cores keep their last broadcast values and their bytes never enter the
   uplink accounting.
 
+The runner turns the rule into the round's parameter names once per round;
+each participating client trains and uploads exactly those.  A client's
+AdamW moments for a name it did not train at its last participation are
+cleared, so a core re-entering training restarts its moments.
+
 Rounds are 1-based.  Determinism: given one config and seed, the metrics
 stream and final parameters are identical regardless of worker count.
 """
 
 from __future__ import annotations
 
+import math
 import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +32,7 @@ import numpy as np
 
 from .data import Corpus, PartitionSpec, generate_corpus, partition
 from .errors import NumericalError
-from .nn import AdamW, ModelConfig, ParamMeta, ToyModel, get_pretrained_backbone
+from .nn import AdamW, ToyModel, get_pretrained_backbone
 from .privacy import DPConfig, dp_batch_gradient, noise_multiplier
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,10 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "BYTES_PER_PARAM",
     "FedConfig",
-    "TrainableSelection",
     "ClientState",
     "RoundMetrics",
-    "select_trainable",
+    "unfrozen_cores",
+    "trainable_names",
     "sample_clients",
     "aggregate",
     "local_update",
@@ -62,7 +69,6 @@ class FedConfig:
     batch_size: int = 32
     weight_decay: float = 0.0
     workers: int = 1
-    reset_frozen_moments: bool = True
     eval_batch: int = 64
 
     def __post_init__(self) -> None:
@@ -79,52 +85,34 @@ class FedConfig:
             )
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"fed.algorithm must be one of {ALGORITHMS}")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("fed.lr and fed.weight_decay must be non-negative")
+        if not (0 <= self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ValueError("fed.lr and fed.weight_decay must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class TrainableSelection:
-    """Which parameters train (and travel) in one round."""
+def unfrozen_cores(algorithm: str, t: int, chain_length: int) -> frozenset[int]:
+    """1-based cores of a chain of ``chain_length`` that train in round ``t``.
 
-    algorithm: str
-    round_index: int
-
-    def unfrozen_factors(self, chain_length: int) -> frozenset[int]:
-        """1-based core indices unfrozen for a chain of this length."""
-        if self.algorithm == "fedtt":
-            return frozenset(range(1, chain_length + 1))
-        if chain_length < 3:
-            raise ValueError(
-                f"fedtt_plus needs chains of length >= 3, got {chain_length}"
-            )
-        r = (self.round_index % (chain_length - 2)) + 2
-        return frozenset({1, r, chain_length})
-
-    def trainable_names(self, meta: Mapping[str, ParamMeta]) -> list[str]:
-        """Selected parameter names, in model order.
-
-        Only adapter cores rotate; the head and bias terms are always in.
-        """
-        out = []
-        for name, m in meta.items():
-            if m.kind == "adapter_factor":
-                if m.factor_index + 1 in self.unfrozen_factors(m.chain_length):
-                    out.append(name)
-            else:
-                out.append(name)
-        return out
-
-
-def select_trainable(t: int, chain_length: int, algorithm: str) -> TrainableSelection:
-    """Selection for round ``t`` (1-based) over chains of ``chain_length``."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+    ``fedtt_plus`` needs chains of at least 3 cores; ``RunConfig`` checks that.
+    """
     if t < 1:
         raise ValueError("round index is 1-based")
-    sel = TrainableSelection(algorithm, t)
-    sel.unfrozen_factors(chain_length)  # validates chain_length for fedtt_plus
-    return sel
+    if algorithm == "fedtt":
+        return frozenset(range(1, chain_length + 1))
+    if algorithm == "fedtt_plus":
+        return frozenset({1, (t % (chain_length - 2)) + 2, chain_length})
+    raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+
+
+def trainable_names(model: ToyModel, algorithm: str, t: int) -> tuple[str, ...]:
+    """The parameters that train and travel in round ``t``, in model order.
+
+    Only adapter cores rotate; the head and bias terms are always in.
+    """
+    frozen = set()
+    for chain in model.adapter_cores:
+        keep = unfrozen_cores(algorithm, t, len(chain))
+        frozen.update(n for j, n in enumerate(chain, start=1) if j not in keep)
+    return tuple(n for n in model.trainables() if n not in frozen)
 
 
 def sample_clients(num_clients: int, m: int, rng: np.random.Generator) -> list[int]:
@@ -181,7 +169,9 @@ class ClientState:
         self.batch_rng = batch_rng
         self.dp_rng = dp_rng
         self.sigma = sigma
-        self.last_unfrozen: set[str] = set()
+        # The names trained at the last participation: a reference to that
+        # round's shared tuple, so a thousand clients hold no copies.
+        self.last_names: tuple[str, ...] = ()
         self._order = np.empty(0, dtype=np.int64)
         self._cursor = 0
 
@@ -219,21 +209,20 @@ def local_update(
     model: ToyModel,
     client: ClientState,
     global_params: Mapping[str, np.ndarray],
-    selection: TrainableSelection,
+    names: Sequence[str],
     fed_cfg: FedConfig,
     dp_cfg: DPConfig | None = None,
 ) -> tuple[dict[str, np.ndarray], float]:
-    """K optimizer steps from the broadcast state; returns (selected params, mean loss).
+    """K optimizer steps on ``names`` from the broadcast state; returns
+    (those params, mean loss).
 
     Frozen cores are never stepped, so they leave with their broadcast
-    values; only the selected parameters are returned for aggregation.
+    values; only ``names`` are returned for aggregation.  Moments of a name
+    the client did not train at its last participation are cleared first.
     """
     model.set_trainables(global_params)
-    names = selection.trainable_names(model.param_meta())
-    if selection.algorithm == "fedtt_plus" and fed_cfg.reset_frozen_moments:
-        newly = [n for n in names if n not in client.last_unfrozen]
-        client.optimizer.reset(newly)
-        client.last_unfrozen = set(names)
+    client.optimizer.reset([n for n in names if n not in client.last_names])
+    client.last_names = names
     params = model.trainables()
     name_set = set(names)
     losses = []
@@ -327,8 +316,7 @@ class FederatedRunner:
         )
         self.template = ToyModel(mc, backbone, np.random.default_rng(init_ss))
         self.server_params = self.template.get_trainables()
-        self.adapter_chain = self.template.adapter_chain_length
-        select_trainable(1, self.adapter_chain, fc.algorithm)  # fail fast
+        self.adapter_chain = mc.adapter_chain_length
         if fc.algorithm == "fedtt_plus" and self.adapter_chain == 3:
             warnings.warn(
                 "fedtt_plus on 3-core adapter chains trains every core, so it "
@@ -379,7 +367,7 @@ class FederatedRunner:
         fc = self.cfg.fed
         self.round += 1
         t = self.round
-        selection = select_trainable(t, self.adapter_chain, fc.algorithm)
+        names = trainable_names(self.template, fc.algorithm, t)
         if fc.clients_per_round < fc.num_clients:
             ids = sample_clients(fc.num_clients, fc.clients_per_round, self.server_rng)
         else:
@@ -394,7 +382,7 @@ class FederatedRunner:
             try:
                 return local_update(
                     model, self.clients[cid], self.server_params,
-                    selection, fc, self.cfg.dp,
+                    names, fc, self.cfg.dp,
                 )
             finally:
                 free.put(model)
@@ -419,8 +407,7 @@ class FederatedRunner:
         if not (np.isfinite(train_loss) and np.isfinite(eval_loss)):
             raise NumericalError(f"round {t}: non-finite loss")
 
-        meta = self.template.param_meta()
-        uplink_params = sum(meta[n].size for n in new_params)
+        uplink_params = sum(self.server_params[n].size for n in names)
         uplink_kb = uplink_params * BYTES_PER_PARAM / KB
         self.cumulative_kb += len(ids) * uplink_kb
         return RoundMetrics(

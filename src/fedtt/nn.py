@@ -29,7 +29,6 @@ __all__ = [
     "linear_backward",
     "AdamW",
     "ModelConfig",
-    "ParamMeta",
     "ToyModel",
     "init_backbone",
     "pretrain_backbone",
@@ -116,14 +115,17 @@ def tt_linear_node(
 ) -> ad.Tensor:
     """The layer as one tape node over x, its cores and its bias.
 
-    A core whose Tensor requires no grad is frozen: its contraction is skipped.
+    A core whose Tensor requires no grad is frozen: its contraction is
+    skipped; an input that requires no grad gets no dX.
     """
     y, cache = layer.forward_cached(x.data)
     parents = (x, *factor_ts) + ((bias_t,) if bias_t is not None else ())
     mask = [f.requires_grad for f in factor_ts]
 
     def vjp(g):
-        d_factors, dx = tt.tt_vjp(layer.weight, cache, g, mask, groups)
+        d_factors, dx = tt.tt_vjp(
+            layer.weight, cache, g, mask, groups, x.requires_grad
+        )
         grads = [dx, *d_factors]
         if bias_t is not None:
             grads.append(_row_sum(g, groups))
@@ -381,16 +383,6 @@ class ModelConfig:
         return tt.shape_plan_for(self.bottleneck, self.d_model, self.tt_rank).chain_length
 
 
-@dataclass(frozen=True)
-class ParamMeta:
-    """Role of one trainable parameter inside the model."""
-
-    kind: str  # adapter_factor | adapter_bias | head_factor | head_bias | head_dense
-    factor_index: int = -1  # 0-based position within its TT chain
-    chain_length: int = 0
-    size: int = 0
-
-
 def init_backbone(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     d, m = cfg.d_model, cfg.mlp_hidden
     params: dict[str, np.ndarray] = {
@@ -523,49 +515,27 @@ class ToyModel:
 
     def _index_params(self) -> None:
         self._params: dict[str, np.ndarray] = {}
-        self._meta: dict[str, ParamMeta] = {}
+        # Each adapter map's core names in chain order: what fed's
+        # selection rule rotates.
+        self.adapter_cores: list[tuple[str, ...]] = []
         for apath, adapter in self.adapters.items():
+            for n, arr in adapter.named_params().items():
+                self._params[f"{apath}.{n}"] = arr
             for side, layer in (("down", adapter.down), ("up", adapter.up)):
-                j_total = layer.weight.chain_length
-                for j, f in enumerate(layer.weight.factors):
-                    name = f"{apath}.{side}.f{j}"
-                    self._params[name] = f
-                    self._meta[name] = ParamMeta("adapter_factor", j, j_total, f.size)
-                if layer.bias is not None:
-                    name = f"{apath}.{side}.bias"
-                    self._params[name] = layer.bias
-                    self._meta[name] = ParamMeta("adapter_bias", size=layer.bias.size)
+                self.adapter_cores.append(tuple(
+                    f"{apath}.{side}.f{j}" for j in range(layer.weight.chain_length)
+                ))
         if self.head is not None:
-            j_total = self.head.weight.chain_length
             for j, f in enumerate(self.head.weight.factors):
-                name = f"head.f{j}"
-                self._params[name] = f
-                self._meta[name] = ParamMeta("head_factor", j, j_total, f.size)
+                self._params[f"head.f{j}"] = f
             self._params["head.bias"] = self.head.bias
-            self._meta["head.bias"] = ParamMeta("head_bias", size=self.head.bias.size)
         else:
             for key in ("w", "b"):
-                name = f"head.{key}"
-                self._params[name] = self.head_dense[key]
-                self._meta[name] = ParamMeta(
-                    "head_dense", size=self.head_dense[key].size
-                )
-
-    @property
-    def adapter_chain_length(self) -> int:
-        lengths = {
-            a.down.weight.chain_length for a in self.adapters.values()
-        } | {a.up.weight.chain_length for a in self.adapters.values()}
-        if len(lengths) != 1:
-            raise ValueError("adapters disagree on chain length")
-        return lengths.pop()
+                self._params[f"head.{key}"] = self.head_dense[key]
 
     def trainables(self) -> dict[str, np.ndarray]:
         """Live views of the trainable arrays, in stable model order."""
         return dict(self._params)
-
-    def param_meta(self) -> dict[str, ParamMeta]:
-        return dict(self._meta)
 
     def get_trainables(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self._params.items()}

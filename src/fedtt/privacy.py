@@ -25,16 +25,16 @@ class DPConfig:
     c0: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.clip <= 0:
-            raise ValueError("clip norm must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 < self.clip < math.inf:
+            raise ValueError("clip norm must be finite and positive")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and non-negative")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and non-negative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
+        if not 0 < self.c0 < math.inf:
+            raise ValueError("c0 must be finite and positive")
         if self.enabled and self.sigma == 0.0 and self.epsilon == 0.0:
             raise ValueError("enabled DP needs sigma or epsilon")
 

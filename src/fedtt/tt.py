@@ -334,7 +334,8 @@ def tt_vjp(
     dy: np.ndarray,
     mask: list[bool] | None = None,
     groups: int | None = None,
-) -> tuple[list[np.ndarray], np.ndarray]:
+    input_grad: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Exact gradients of sum(dy * (X W^T)) w.r.t. each core and the input.
 
     dX = dy W and dW = dy^T X; core j's grad is L_j^T dW R_j^T, with L_j
@@ -344,7 +345,8 @@ def tt_vjp(
     are G consecutive groups of B/G rows (one group per sample): dW is
     formed per group as a (G, P, Q) stack and every core grad gets a
     leading axis of size G holding each group's own sum, so one call gives
-    every per-sample gradient.  Returns (core grads, dX).
+    every per-sample gradient.  Returns (core grads, dX); dX is None when
+    ``input_grad`` is False.
     """
     x, lefts = cache
     if mask is None:
@@ -353,7 +355,7 @@ def tt_vjp(
     if n_groups < 1 or dy.shape[0] % n_groups:
         raise ValueError(f"{dy.shape[0]} rows do not split into {groups} groups")
     per_group = dy.shape[0] // n_groups
-    dx = dy @ lefts[-1].reshape(w.rows, w.cols)
+    dx = dy @ lefts[-1].reshape(w.rows, w.cols) if input_grad else None
     dy_g = dy.reshape(n_groups, per_group, w.rows)
     d_w = np.swapaxes(dy_g, 1, 2) @ x.reshape(n_groups, per_group, w.cols)
     d_factors = [np.zeros((n_groups, *f.shape)) for f in w.factors]

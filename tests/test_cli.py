@@ -119,6 +119,20 @@ def test_non_finite_float_exits_1_before_training(tmp_path, capsys, monkeypatch)
     assert "config error: fed.lr" in capsys.readouterr().err
 
 
+def test_fedtt_plus_on_two_core_chains_exits_1_before_pretraining(tmp_path, capsys,
+                                                                  monkeypatch):
+    def no_pretraining(*args):
+        raise AssertionError("pretrained for a config that cannot run")
+
+    monkeypatch.setattr("fedtt.fed.get_pretrained_backbone", no_pretraining)
+    bad = tmp_path / "two_core.cfg"
+    bad.write_text("model.bottleneck = 1\nfed.algorithm = fedtt_plus\n")
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fed.algorithm = fedtt_plus needs adapter chains")
+    assert not (tmp_path / "x").exists()
+
+
 def test_divergent_run_exits_2(tmp_path, capsys):
     cfg_path, _ = write_cfg(tmp_path, seed=5, rounds=2, local_updates=3,
                             lr=1e9, weight_decay=1e9)

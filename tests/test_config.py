@@ -1,5 +1,8 @@
 """Config file parsing, validation, and round-tripping."""
 
+import math
+from dataclasses import fields
+
 import pytest
 
 from fedtt.config import (
@@ -14,6 +17,7 @@ from fedtt.config import (
 )
 from fedtt.errors import ConfigError
 from fedtt.fed import FedConfig
+from fedtt.privacy import DPConfig
 
 
 def test_empty_text_gives_defaults():
@@ -80,7 +84,6 @@ DEFAULT_CONFIG_TXT = (
     "fed.batch_size = 32\n"
     "fed.weight_decay = 0.0\n"
     "fed.workers = 1\n"
-    "fed.reset_frozen_moments = true\n"
     "fed.eval_batch = 64\n"
     "data.classes = 2\n"
     "data.per_class = 400\n"
@@ -101,6 +104,12 @@ DEFAULT_CONFIG_TXT = (
 def test_format_config_of_defaults_is_pinned():
     # Key order and value formats are the config.txt file format.
     assert format_config(RunConfig()) == DEFAULT_CONFIG_TXT
+
+
+def test_removed_reset_frozen_moments_key_is_unknown():
+    # config.txt files written before the key was removed carry it.
+    with pytest.raises(ConfigError, match="unknown config key 'fed.reset_frozen_moments'"):
+        parse_config_text("fed.reset_frozen_moments = true\n")
 
 
 def test_proportions_matrix_round_trip():
@@ -220,6 +229,25 @@ def test_proportions_cross_validation():
 def test_non_finite_floats_are_rejected(key, raw):
     with pytest.raises(ConfigError, match=f"{key}: .*not a finite number"):
         parse_config_text(f"{key} = {raw}\n")
+
+
+@pytest.mark.parametrize("section,name", [
+    (cls, f.name) for cls in (FedConfig, DPConfig, ModelSettings)
+    for f in fields(cls) if f.type == "float"
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_are_rejected_in_python(section, name, value):
+    with pytest.raises(ValueError, match=name):
+        section(**{name: value})
+
+
+def test_fedtt_plus_on_two_core_chains_fails_before_pretraining(monkeypatch):
+    def no_pretraining(*args):
+        raise AssertionError("pretrained for a config that cannot run")
+
+    monkeypatch.setattr("fedtt.fed.get_pretrained_backbone", no_pretraining)
+    with pytest.raises(ValueError, match="fedtt_plus needs adapter chains of length >= 3"):
+        RunConfig(model=ModelSettings(bottleneck=1), fed=FedConfig(algorithm="fedtt_plus"))
 
 
 def test_float_keys_include_every_rate_and_dp_setting():

@@ -11,14 +11,14 @@ from fedtt.fed import (
     ClientState,
     FedConfig,
     FederatedRunner,
-    TrainableSelection,
     _seed_tree,
     _split_eval,
     aggregate,
     local_update,
     run_training,
     sample_clients,
-    select_trainable,
+    trainable_names,
+    unfrozen_cores,
 )
 from fedtt.nn import AdamW, ToyModel, get_pretrained_backbone
 from fedtt.privacy import DPConfig
@@ -37,43 +37,40 @@ def test_rotation_schedule_hand_table():
     # J=5: r = (t mod 3) + 2, unfrozen = {1, r, 5}; frozen expectations
     want = {1: {1, 3, 5}, 2: {1, 4, 5}, 3: {1, 2, 5}, 4: {1, 3, 5}, 5: {1, 4, 5}, 6: {1, 2, 5}}
     for t, cores in want.items():
-        sel = select_trainable(t, 5, "fedtt_plus")
-        assert sel.unfrozen_factors(5) == frozenset(cores), t
+        assert unfrozen_cores("fedtt_plus", t, 5) == frozenset(cores), t
 
 
 def test_rotation_cycle_length_covers_all_interiors():
     j = 6
     seen = set()
     for t in range(1, j - 1):
-        seen |= select_trainable(t, j, "fedtt_plus").unfrozen_factors(j)
+        seen |= unfrozen_cores("fedtt_plus", t, j)
     assert seen == set(range(1, j + 1))  # every core trains somewhere in a cycle
 
 
 def test_fedtt_selects_every_core():
-    sel = select_trainable(3, 4, "fedtt")
-    assert sel.unfrozen_factors(4) == frozenset({1, 2, 3, 4})
+    assert unfrozen_cores("fedtt", 3, 4) == frozenset({1, 2, 3, 4})
 
 
 def test_three_core_chains_degenerate_to_fedtt():
-    sel = select_trainable(9, 3, "fedtt_plus")
-    assert sel.unfrozen_factors(3) == frozenset({1, 2, 3})
+    assert unfrozen_cores("fedtt_plus", 9, 3) == frozenset({1, 2, 3})
 
 
 def test_selection_validation():
+    # 2-core chains are refused once, when the run's config is built
     with pytest.raises(ValueError, match=">= 3"):
-        select_trainable(1, 2, "fedtt_plus")
+        tiny_run_config(algorithm="fedtt_plus", bottleneck=1)
     with pytest.raises(ValueError, match="1-based"):
-        select_trainable(0, 4, "fedtt")
+        unfrozen_cores("fedtt", 0, 4)
     with pytest.raises(ValueError, match="algorithm"):
-        select_trainable(1, 4, "fedsgd")
+        unfrozen_cores("fedsgd", 1, 4)
 
 
 def test_trainable_names_filters_only_adapter_factors():
     runner = build_runner(bottleneck=24, algorithm="fedtt_plus")
     model = runner.template
     assert runner.adapter_chain == 4
-    sel = select_trainable(1, 4, "fedtt_plus")  # r=3: cores {1,3,4}, f1 frozen
-    names = sel.trainable_names(model.param_meta())
+    names = trainable_names(model, "fedtt_plus", 1)  # r=3: cores {1,3,4}, f1 frozen
     assert "blocks.0.adapter.attn.down.f0" in names
     assert "blocks.0.adapter.attn.down.f1" not in names
     assert "blocks.0.adapter.attn.down.f2" in names
@@ -81,7 +78,7 @@ def test_trainable_names_filters_only_adapter_factors():
     # biases and the head never rotate out
     assert "blocks.0.adapter.attn.down.bias" in names
     assert all(n in names for n in model.trainables() if n.startswith("head."))
-    assert names == [n for n in model.trainables() if n in set(names)]  # model order
+    assert list(names) == [n for n in model.trainables() if n in set(names)]  # model order
 
 
 # ----------------------------------------------------------- aggregate
@@ -212,9 +209,9 @@ def plus_runner():
 def test_local_update_freezes_rotated_out_cores(plus_runner):
     runner = plus_runner
     model, client = runner.models[0], runner.clients[0]
-    sel = select_trainable(1, 4, "fedtt_plus")  # f1 is frozen this round
+    names = trainable_names(model, "fedtt_plus", 1)  # f1 is frozen this round
     before = {k: v.copy() for k, v in runner.server_params.items()}
-    returned, loss = local_update(model, client, runner.server_params, sel,
+    returned, loss = local_update(model, client, runner.server_params, names,
                                   runner.cfg.fed, runner.cfg.dp)
     assert np.isfinite(loss)
     live = model.trainables()
@@ -225,40 +222,52 @@ def test_local_update_freezes_rotated_out_cores(plus_runner):
         assert n not in returned
         assert np.array_equal(live[n], before[n])  # untouched, bit for bit
     assert any(not np.array_equal(live[n], before[n]) for n in moved)
-    assert set(returned) == set(sel.trainable_names(model.param_meta()))
+    assert set(returned) == set(names)
 
 
 def test_local_update_resets_moments_on_reentry(plus_runner):
     runner = plus_runner
     model, client = runner.models[0], runner.clients[1]
-    sel1 = select_trainable(1, 4, "fedtt_plus")  # f2 in, f1 out
-    local_update(model, client, runner.server_params, sel1, runner.cfg.fed)
+    names1 = trainable_names(model, "fedtt_plus", 1)  # f2 in, f1 out
+    local_update(model, client, runner.server_params, names1, runner.cfg.fed)
     f2 = "blocks.0.adapter.attn.down.f2"
     f1 = "blocks.0.adapter.attn.down.f1"
     assert client.optimizer.state[f2][2] == runner.cfg.fed.local_updates
 
-    sel2 = select_trainable(2, 4, "fedtt_plus")  # f1 back in, f2 out
-    local_update(model, client, runner.server_params, sel2, runner.cfg.fed)
+    names2 = trainable_names(model, "fedtt_plus", 2)  # f1 back in, f2 out
+    local_update(model, client, runner.server_params, names2, runner.cfg.fed)
     # f1 was newly unfrozen: its counter restarted at this round's steps
     assert client.optimizer.state[f1][2] == runner.cfg.fed.local_updates
     # f2 kept its stale state (no steps applied while frozen)
     assert client.optimizer.state[f2][2] == runner.cfg.fed.local_updates
 
 
+def test_fedtt_moments_keep_counting_across_participations():
+    # Under fedtt no core ever re-enters training, so the reset at each
+    # participation clears nothing and every step counter keeps counting.
+    runner = build_runner(rounds=3, local_updates=2)
+    runner.run()
+    steps = runner.cfg.fed.rounds * runner.cfg.fed.local_updates
+    for client in runner.clients:
+        state = client.optimizer.state
+        assert set(state) == set(runner.server_params)
+        assert all(t == steps for _, _, t in state.values())
+
+
 def test_dp_per_sample_path_matches_plain_mean_with_huge_clip():
     runner_a = build_runner(seed=31, rounds=1)
     runner_b = build_runner(seed=31, rounds=1)
-    sel = select_trainable(1, runner_a.adapter_chain, "fedtt")
+    names = trainable_names(runner_a.template, "fedtt", 1)
     fed_cfg = runner_a.cfg.fed
 
     plain, loss_a = local_update(
-        runner_a.models[0], runner_a.clients[0], runner_a.server_params, sel, fed_cfg
+        runner_a.models[0], runner_a.clients[0], runner_a.server_params, names, fed_cfg
     )
     dp_cfg = DPConfig(enabled=True, clip=1e9, sigma=1.0)
     client_b = runner_b.clients[0]
     client_b.sigma = 0.0  # calibrated off: isolates the clipping/mean path
     noisy, loss_b = local_update(
-        runner_b.models[0], client_b, runner_b.server_params, sel, fed_cfg, dp_cfg
+        runner_b.models[0], client_b, runner_b.server_params, names, fed_cfg, dp_cfg
     )
     assert abs(loss_a - loss_b) < 1e-9
     for k in plain:
@@ -267,15 +276,15 @@ def test_dp_per_sample_path_matches_plain_mean_with_huge_clip():
 
 def test_dp_noise_perturbs_the_update():
     runner = build_runner(seed=31, rounds=1)
-    sel = select_trainable(1, runner.adapter_chain, "fedtt")
+    names = trainable_names(runner.template, "fedtt", 1)
     dp_cfg = DPConfig(enabled=True, clip=0.5, sigma=2.0)
     runner.clients[1].sigma = 2.0
     noisy, _ = local_update(
-        runner.models[0], runner.clients[1], runner.server_params, sel,
+        runner.models[0], runner.clients[1], runner.server_params, names,
         runner.cfg.fed, dp_cfg,
     )
     again, _ = local_update(
-        runner.models[0], runner.clients[2], runner.server_params, sel,
+        runner.models[0], runner.clients[2], runner.server_params, names,
         runner.cfg.fed, dp_cfg,
     )
     diffs = [np.abs(noisy[k] - again[k]).max() for k in noisy]
@@ -287,8 +296,7 @@ def test_dp_noise_perturbs_the_update():
 
 def test_round_metrics_and_uplink_accounting():
     runner = build_runner(rounds=3, num_clients=3)
-    meta = runner.template.param_meta()
-    total_params = sum(m.size for m in meta.values())
+    total_params = sum(v.size for v in runner.template.trainables().values())
     m1 = runner.run_round()
     assert m1.round == 1
     assert m1.client_ids == (0, 1, 2)
@@ -305,7 +313,7 @@ def test_plus_uplink_cycles_with_rotation():
     ups = [runner.run_round().uplink_kb for _ in range(4)]
     assert ups[0] != ups[1]  # interior cores have different sizes
     assert ups[0] == ups[2] and ups[1] == ups[3]  # period matches the cycle
-    full = sum(m.size for m in runner.template.param_meta().values())
+    full = sum(v.size for v in runner.template.trainables().values())
     assert all(u < full * BYTES_PER_PARAM / 1024 for u in ups)
 
 

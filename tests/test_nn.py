@@ -20,7 +20,7 @@ from fedtt.nn import (
 )
 from fedtt import autodiff as ad
 from fedtt import tt
-from fedtt.fed import select_trainable
+from fedtt.fed import trainable_names
 from fedtt.tt import reconstruct
 
 from conftest import TINY_MODEL, tiny_run_config
@@ -115,6 +115,43 @@ def test_linear_node_skips_a_frozen_core(rng, monkeypatch):
                 assert np.array_equal(g, all_factors[j]), (frozen, j)
         assert np.array_equal(bias, all_bias)
         assert np.array_equal(dx, all_x)
+
+
+def test_linear_node_forms_no_dx_for_an_input_without_grad(rng):
+    layer = TensorizedLinear.create(6, 8, 2, rng)
+    x = rng.normal(size=(3, 8))
+    dy = rng.normal(size=(3, 6))
+
+    def vjp(x_requires_grad):
+        factor_ts = [ad.Tensor(f) for f in layer.weight.factors]
+        node = tt_linear_node(ad.Tensor(x, requires_grad=x_requires_grad), layer,
+                              factor_ts, ad.Tensor(layer.bias))
+        return node.vjp(dy)
+
+    frozen_x, live_x = vjp(False), vjp(True)
+    assert frozen_x[0] is None and live_x[0] is not None
+    for got, want in zip(frozen_x[1:], live_x[1:]):
+        assert np.array_equal(got, want)
+
+
+def test_model_first_adapter_map_gets_no_dx(small_setup, monkeypatch):
+    # The block-0 attention adapter's down map reads only the frozen
+    # backbone, so its input requires no grad and its dX is never formed.
+    cfg, backbone, corpus = small_setup
+    model = ToyModel(cfg, backbone, np.random.default_rng(0))
+    calls = []  # (weight, dX) per tt_vjp call
+    vjp = tt.tt_vjp
+
+    def spy(*args):
+        out = vjp(*args)
+        calls.append((args[0], out[1]))
+        return out
+
+    monkeypatch.setattr(tt, "tt_vjp", spy)
+    model.loss_and_grads(corpus.tokens[:4], corpus.labels[:4])
+    first = model.adapters["blocks.0.adapter.attn"].down.weight
+    assert len(calls) == 2 * len(model.adapters) + 1  # every adapter map + head
+    assert [w for w, dx in calls if dx is None] == [first]
 
 
 def test_linear_bias_shape_checked(rng):
@@ -278,9 +315,10 @@ def test_model_config_validation():
 
 def test_adapter_chain_length_property():
     cfg = tiny_model_config()
-    assert cfg.adapter_chain_length == ToyModel(
+    model = ToyModel(
         cfg, init_backbone(cfg, np.random.default_rng(0)), np.random.default_rng(1)
-    ).adapter_chain_length
+    )
+    assert {len(chain) for chain in model.adapter_cores} == {cfg.adapter_chain_length}
 
 
 # ---------------------------------------------------------------- ToyModel
@@ -300,11 +338,13 @@ def test_model_param_naming_and_meta(small_setup):
     names = list(model.trainables())
     assert names[0].startswith("blocks.0.adapter.attn.down.f")
     assert "head.bias" in names
-    meta = model.param_meta()
-    for n, m in meta.items():
-        assert m.size == model.trainables()[n].size
-        if m.kind in ("adapter_factor", "head_factor"):
-            assert 0 <= m.factor_index < m.chain_length
+    # one chain per adapter map, its cores named f0.. in chain order
+    assert len(model.adapter_cores) == 2 * len(model.adapters)
+    for chain in model.adapter_cores:
+        prefix = chain[0][: -len("f0")]
+        assert chain == tuple(f"{prefix}f{j}" for j in range(len(chain)))
+    cores = {n for chain in model.adapter_cores for n in chain}
+    assert cores == {n for n in names if ".adapter." in n and not n.endswith(".bias")}
 
 
 def test_model_zero_init_adapters_are_transparent(small_setup):
@@ -374,10 +414,9 @@ def test_model_keeps_no_frozen_state_between_calls(small_setup):
 
     tok, lab = corpus.tokens[:6], corpus.labels[:6]
     used = model()
-    subset = select_trainable(1, cfg.adapter_chain_length, "fedtt_plus")
-    names = subset.trainable_names(used.param_meta())
+    names = trainable_names(used, "fedtt_plus", 1)
     _, part = used.loss_and_grads(tok, lab, set(names))
-    assert list(part) == names and len(names) < len(used.trainables())
+    assert list(part) == list(names) and len(names) < len(used.trainables())
     loss, grads = used.loss_and_grads(tok, lab)
     fresh_loss, fresh = model().loss_and_grads(tok, lab)
     assert loss == fresh_loss and list(grads) == list(fresh)

@@ -17,7 +17,7 @@ from fedtt.fed import (
     FederatedRunner,
     _unflatten,
     local_update,
-    select_trainable,
+    trainable_names,
 )
 from fedtt.nn import AdamW, ToyModel, init_backbone
 from fedtt.privacy import DPConfig, dp_batch_gradient
@@ -170,19 +170,18 @@ def assert_matches_loop(model: ToyModel, tokens, labels, names=None) -> None:
 
 def test_per_sample_matches_loop_fedtt_three_core_chains():
     model = random_model(1)
-    assert model.adapter_chain_length == 3
+    assert model.cfg.adapter_chain_length == 3
     assert_matches_loop(model, *batch(model, 6, 2))
 
 
 def test_per_sample_matches_loop_fedtt_plus_every_rotation():
     model = random_model(2, bottleneck=24)
-    chain = model.adapter_chain_length
+    chain = model.cfg.adapter_chain_length
     assert chain == 4
     tokens, labels = batch(model, 5, 3)
-    meta = model.param_meta()
     for t in range(1, chain - 1):
-        names = select_trainable(t, chain, "fedtt_plus").trainable_names(meta)
-        frozen = set(meta) - set(names)
+        names = trainable_names(model, "fedtt_plus", t)
+        frozen = set(model.trainables()) - set(names)
         assert frozen
         assert_matches_loop(model, tokens, labels, set(names))
 
@@ -220,10 +219,9 @@ def test_per_sample_grads_sum_to_batch_gradient():
 # ----------------------------------------------------------- DP local update
 
 
-def loop_dp_local_update(model, client, global_params, selection, fed_cfg, dp_cfg):
+def loop_dp_local_update(model, client, global_params, names, fed_cfg, dp_cfg):
     """The DP step as a loop of single-sample passes, then clip and noise."""
     model.set_trainables(global_params)
-    names = selection.trainable_names(model.param_meta())
     params = model.trainables()
     losses = []
     for _ in range(fed_cfg.local_updates):
@@ -253,9 +251,9 @@ def test_dp_local_update_matches_loop(algorithm, bottleneck):
         return ClientState(0, tokens, labels, AdamW(lr=fed_cfg.lr),
                            np.random.default_rng(8), np.random.default_rng(9), 0.7)
 
-    sel = select_trainable(2, model_a.adapter_chain_length, algorithm)
-    got, loss = local_update(model_a, client(), server, sel, fed_cfg, dp_cfg)
-    want, want_loss = loop_dp_local_update(model_b, client(), server, sel, fed_cfg, dp_cfg)
+    names = trainable_names(model_a, algorithm, 2)
+    got, loss = local_update(model_a, client(), server, names, fed_cfg, dp_cfg)
+    want, want_loss = loop_dp_local_update(model_b, client(), server, names, fed_cfg, dp_cfg)
     assert set(got) == set(want)
     assert abs(loss - want_loss) <= RTOL * abs(want_loss)
     for n in want:
