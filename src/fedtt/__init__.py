@@ -19,7 +19,7 @@ from .fed import (
     trainable_names,
     unfrozen_cores,
 )
-from .nn import ModelConfig, TensorizedAdapter, TensorizedLinear, ToyModel
+from .nn import TensorizedAdapter, TensorizedLinear, ToyModel
 from .privacy import DPConfig, noise_multiplier
 from .report import comm_report, format_report
 from .tt import (
@@ -45,7 +45,6 @@ __all__ = [
     "DPConfig",
     "FedConfig",
     "FederatedRunner",
-    "ModelConfig",
     "ModelSettings",
     "NumericalError",
     "RoundMetrics",

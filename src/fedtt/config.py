@@ -1,8 +1,10 @@
 """Run configuration: flat ``section.key = value`` text files.
 
-Unknown keys are hard errors so typos cannot silently fall back to
-defaults.  ``format_config`` emits every key of the resolved config and
-``parse_config_text`` reads it back to an equal object.
+Every section is a ``RunConfig`` field built by its own dataclass, whose
+fields are its keys; ``model`` is :class:`fedtt.nn.ModelSettings`,
+re-exported here.  Unknown keys are hard errors so typos cannot silently
+fall back to defaults.  ``format_config`` emits every key of the resolved
+config and ``parse_config_text`` reads it back to an equal object.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .data import PARTITION_MODES, PartitionSpec
+from .data import PARTITION_MODES, PartitionSpec, proportion_counts
 from .errors import ConfigError
 from .fed import FedConfig
-from .nn import ModelConfig
+from .nn import ModelSettings
 from .privacy import DPConfig
 
 __all__ = [
@@ -26,48 +28,6 @@ __all__ = [
     "format_config",
     "with_overrides",
 ]
-
-
-# ModelConfig fields whose config key has a shorter name.
-_MODEL_KEYS = {"num_blocks": "blocks", "num_heads": "heads"}
-
-
-@dataclass(frozen=True)
-class ModelSettings:
-    vocab_size: int = 32
-    seq_len: int = 16
-    d_model: int = 64
-    blocks: int = 2
-    heads: int = 2
-    mlp_hidden: int = 128
-    bottleneck: int = 16
-    tt_rank: int = 5
-    head_mode: str = "tensorized"
-    adapter_bias: bool = True
-    activation: str = "relu"
-    backbone_seed: int = 7
-    pretrain_steps: int = 300
-    pretrain_lr: float = 1e-3
-    pretrain_batch: int = 32
-    pretrain_per_class: int = 200
-
-    def __post_init__(self) -> None:
-        if self.pretrain_steps < 0:
-            raise ValueError("model.pretrain_steps must be non-negative")
-        if not 0 < self.pretrain_lr < math.inf:
-            raise ValueError("model.pretrain_lr must be finite and positive")
-        if self.pretrain_batch < 1 or self.pretrain_per_class < 1:
-            raise ValueError("model.pretrain_batch and model.pretrain_per_class must be positive")
-        if self.backbone_seed < 0:
-            raise ValueError("model.backbone_seed must be non-negative")
-
-    def to_model_config(self, num_classes: int) -> ModelConfig:
-        values = {
-            f.name: getattr(self, _MODEL_KEYS.get(f.name, f.name))
-            for f in fields(ModelConfig)
-            if f.name != "num_classes"
-        }
-        return ModelConfig(num_classes=num_classes, **values)
 
 
 @dataclass(frozen=True)
@@ -108,13 +68,14 @@ class RunConfig:
         """Cross-field checks that single sections cannot see."""
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        mc = self.model.to_model_config(self.data.classes)
-        if self.fed.algorithm == "fedtt_plus" and mc.adapter_chain_length < 3:
+        chain = self.model.adapter_chain_length
+        if self.fed.algorithm == "fedtt_plus" and chain < 3:
             raise ValueError(
                 "fed.algorithm = fedtt_plus needs adapter chains of length >= 3; "
                 f"model.bottleneck = {self.model.bottleneck} and model.d_model = "
-                f"{self.model.d_model} give chains of length {mc.adapter_chain_length}"
+                f"{self.model.d_model} give chains of length {chain}"
             )
+        train_total = self.data.classes * self.data.per_class
         if self.data.partition == "proportions":
             if self.data.proportions is None:
                 raise ValueError("data.partition = proportions requires data.proportions")
@@ -122,20 +83,32 @@ class RunConfig:
                 PartitionSpec(self.data.partition, self.fed.num_clients, self.data.proportions)
             except ValueError as e:
                 raise ValueError(f"data.proportions: {e}") from e
-        train_total = self.data.classes * self.data.per_class
+            # The train split is stratified: each class supplies data.per_class.
+            counts = proportion_counts(train_total, self.data.proportions)
+            for c, demand in enumerate(map(sum, zip(*counts))):
+                if demand > self.data.per_class:
+                    raise ValueError(
+                        f"data.proportions: the clients want {demand} examples of "
+                        f"class {c}, but data.per_class = {self.data.per_class}"
+                    )
         if train_total < self.fed.num_clients:
             raise ValueError(
                 f"{train_total} training sequences cannot cover {self.fed.num_clients} clients"
             )
 
 
+# A section is a RunConfig field built by its own dataclass.
+_SECTIONS = {
+    f.name: f.default_factory for f in fields(RunConfig) if is_dataclass(f.default_factory)
+}
+
+
 def _schema() -> dict[str, tuple[str, str, str]]:
     """key -> (section attr, field name, type tag); "" = top level.
 
-    A section is a RunConfig field built by its own dataclass; its keys are
-    that dataclass's fields in order.  Under postponed annotations a field's
-    type is a string: the scalar names are tags, anything else is the
-    proportions matrix.
+    A section's keys are its dataclass's fields in order.  Under postponed
+    annotations a field's type is a string: the scalar names are tags,
+    anything else is the proportions matrix.
     """
 
     def kind(f) -> str:
@@ -143,8 +116,8 @@ def _schema() -> dict[str, tuple[str, str, str]]:
 
     schema = {}
     for f in fields(RunConfig):
-        if is_dataclass(f.default_factory):
-            for sf in fields(f.default_factory):
+        if f.name in _SECTIONS:
+            for sf in fields(_SECTIONS[f.name]):
                 schema[f"{f.name}.{sf.name}"] = (f.name, sf.name, kind(sf))
         else:
             schema[f.name] = ("", f.name, kind(f))
@@ -223,18 +196,14 @@ def parse_config(path) -> RunConfig:
 
 
 def _build(values: dict[str, object]) -> RunConfig:
-    by_section: dict[str, dict[str, object]] = {"model": {}, "fed": {}, "data": {}, "dp": {}, "": {}}
+    by_section: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+    top: dict[str, object] = {}
     for key, val in values.items():
         section, fname, _ = _SCHEMA[key]
-        by_section[section][fname] = val
+        by_section.get(section, top)[fname] = val
     try:
-        return RunConfig(
-            model=ModelSettings(**by_section["model"]),
-            fed=FedConfig(**by_section["fed"]),
-            data=DataSettings(**by_section["data"]),
-            dp=DPConfig(**by_section["dp"]),
-            **by_section[""],
-        )
+        sections = {name: cls(**by_section[name]) for name, cls in _SECTIONS.items()}
+        return RunConfig(**sections, **top)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 

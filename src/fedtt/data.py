@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Corpus", "PartitionSpec", "generate_corpus", "partition"]
+__all__ = ["Corpus", "PartitionSpec", "generate_corpus", "partition", "proportion_counts"]
 
 PARTITION_MODES = ("iid", "proportions", "sorted_shards")
 
@@ -109,6 +109,14 @@ def _largest_remainder(total: int, weights) -> list[int]:
     return counts
 
 
+def proportion_counts(n: int, proportions) -> list[list[int]]:
+    """How many examples of each class each client takes when ``n``
+    examples are split by ``proportions`` rows: equal shard sizes, each
+    apportioned over the classes by largest remainder."""
+    sizes = _even_sizes(n, len(proportions))
+    return [_largest_remainder(size, row) for size, row in zip(sizes, proportions)]
+
+
 def partition(
     corpus: Corpus, spec: PartitionSpec, seed: int
 ) -> list[np.ndarray]:
@@ -139,8 +147,7 @@ def partition(
         pool = np.flatnonzero(corpus.labels == c)
         pools.append(list(rng.permutation(pool)))
     shards = []
-    for i, row in enumerate(spec.proportions):
-        want = _largest_remainder(sizes[i], row)
+    for i, want in enumerate(proportion_counts(n, spec.proportions)):
         shard = []
         for c, k in enumerate(want):
             if len(pools[c]) < k:

@@ -290,7 +290,7 @@ class FederatedRunner:
     def __init__(self, cfg: "RunConfig"):
         self.cfg = cfg
         fc = cfg.fed
-        mc = cfg.model.to_model_config(cfg.data.classes)
+        mc = cfg.model
         corpus_ss, part_ss, server_ss, init_ss, client_ss = _seed_tree(
             cfg.seed, fc.num_clients
         )
@@ -306,15 +306,10 @@ class FederatedRunner:
         self.eval_tokens = full.tokens[eval_idx]
         self.eval_labels = full.labels[eval_idx]
 
-        backbone = get_pretrained_backbone(
-            mc,
-            cfg.model.pretrain_per_class,
-            cfg.model.pretrain_steps,
-            cfg.model.pretrain_lr,
-            cfg.model.pretrain_batch,
-            cfg.model.backbone_seed,
+        backbone = get_pretrained_backbone(mc, cfg.data.classes)
+        self.template = ToyModel(
+            mc, cfg.data.classes, backbone, np.random.default_rng(init_ss)
         )
-        self.template = ToyModel(mc, backbone, np.random.default_rng(init_ss))
         self.server_params = self.template.get_trainables()
         self.adapter_chain = mc.adapter_chain_length
         if fc.algorithm == "fedtt_plus" and self.adapter_chain == 3:
@@ -356,7 +351,7 @@ class FederatedRunner:
         # A model holds no state but its trainable values, which local_update
         # overwrites, so one model per worker thread serves every client.
         self.models = [
-            ToyModel(mc, backbone, np.random.default_rng(init_ss))
+            ToyModel(mc, cfg.data.classes, backbone, np.random.default_rng(init_ss))
             for _ in range(min(fc.workers, fc.clients_per_round))
         ]
         self.server_rng = np.random.default_rng(server_ss)

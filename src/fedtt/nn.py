@@ -1,5 +1,9 @@
 """Tensorized layers, adapters, AdamW, and the frozen-backbone toy model.
 
+:class:`ModelSettings` is the one description of the model: the ``model.*``
+config section, which ``ToyModel`` and the pretraining functions build from.
+The class count is ``data.classes`` and is passed beside it.
+
 The trainable surface of a model is a flat, insertion-ordered mapping from
 parameter names to float64 arrays; everything federated operates on that
 mapping.  A parameter is frozen for one pass by building its autodiff leaf
@@ -28,7 +32,7 @@ __all__ = [
     "DenseAdapter",
     "linear_backward",
     "AdamW",
-    "ModelConfig",
+    "ModelSettings",
     "ToyModel",
     "init_backbone",
     "pretrain_backbone",
@@ -341,55 +345,57 @@ class AdamW:
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    """Desk-scale classifier: frozen transformer backbone plus adapters."""
+class ModelSettings:
+    """The ``model.*`` config section: frozen backbone, adapters, pretraining."""
 
     vocab_size: int = 32
     seq_len: int = 16
     d_model: int = 64
-    num_blocks: int = 2
-    num_heads: int = 2
+    blocks: int = 2
+    heads: int = 2
     mlp_hidden: int = 128
-    num_classes: int = 2
     bottleneck: int = 16
     tt_rank: int = 5
     head_mode: str = "tensorized"
     adapter_bias: bool = True
     activation: str = "relu"
+    backbone_seed: int = 7
+    pretrain_steps: int = 300
+    pretrain_lr: float = 1e-3
+    pretrain_batch: int = 32
+    pretrain_per_class: int = 200
 
     def __post_init__(self) -> None:
-        for f in (
-            "vocab_size",
-            "seq_len",
-            "d_model",
-            "num_blocks",
-            "num_heads",
-            "mlp_hidden",
-            "num_classes",
-            "bottleneck",
-            "tt_rank",
-        ):
+        if self.vocab_size < 2:
+            raise ValueError("model.vocab_size must be at least 2")
+        for f in ("seq_len", "d_model", "blocks", "heads", "mlp_hidden",
+                  "bottleneck", "tt_rank", "pretrain_batch", "pretrain_per_class"):
             if getattr(self, f) < 1:
-                raise ValueError(f"{f} must be positive")
-        if self.d_model % self.num_heads:
-            raise ValueError("d_model must be divisible by num_heads")
+                raise ValueError(f"model.{f} must be positive")
+        for f in ("pretrain_steps", "backbone_seed"):
+            if getattr(self, f) < 0:
+                raise ValueError(f"model.{f} must be non-negative")
+        if self.d_model % self.heads:
+            raise ValueError("model.d_model must be divisible by model.heads")
         if self.head_mode not in ("tensorized", "dense"):
-            raise ValueError(f"unknown head_mode {self.head_mode!r}")
+            raise ValueError("model.head_mode must be tensorized or dense")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"model.activation must be one of {tuple(ACTIVATIONS)}")
+        if not 0 < self.pretrain_lr < math.inf:
+            raise ValueError("model.pretrain_lr must be finite and positive")
 
     @property
     def adapter_chain_length(self) -> int:
         return tt.shape_plan_for(self.bottleneck, self.d_model, self.tt_rank).chain_length
 
 
-def init_backbone(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def init_backbone(cfg: ModelSettings, rng: np.random.Generator) -> dict[str, np.ndarray]:
     d, m = cfg.d_model, cfg.mlp_hidden
     params: dict[str, np.ndarray] = {
         "embed.tok": rng.normal(0.0, 0.1, (cfg.vocab_size, d)),
         "embed.pos": rng.normal(0.0, 0.1, (cfg.seq_len, d)),
     }
-    for i in range(cfg.num_blocks):
+    for i in range(cfg.blocks):
         p = f"blocks.{i}."
         params[p + "ln1.g"] = np.ones(d)
         params[p + "ln1.b"] = np.zeros(d)
@@ -404,7 +410,7 @@ def init_backbone(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.nd
     return params
 
 
-def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
+def _validate_tokens(cfg: ModelSettings, tokens: np.ndarray) -> np.ndarray:
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] != cfg.seq_len:
         raise ValueError(
@@ -415,9 +421,9 @@ def _validate_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
     return tokens
 
 
-def _attention(cfg: ModelConfig, t: Mapping[str, ad.Tensor], prefix: str, h: ad.Tensor) -> ad.Tensor:
+def _attention(cfg: ModelSettings, t: Mapping[str, ad.Tensor], prefix: str, h: ad.Tensor) -> ad.Tensor:
     b, s, d = h.shape
-    heads = cfg.num_heads
+    heads = cfg.heads
     hd = d // heads
 
     def split(x: ad.Tensor) -> ad.Tensor:
@@ -433,7 +439,7 @@ def _attention(cfg: ModelConfig, t: Mapping[str, ad.Tensor], prefix: str, h: ad.
 
 
 def encode(
-    cfg: ModelConfig,
+    cfg: ModelSettings,
     t: Mapping[str, ad.Tensor],
     tokens: np.ndarray,
     adapt=None,
@@ -445,7 +451,7 @@ def encode(
     or ``blocks.{i}.adapter.mlp``.
     """
     x = ad.add(ad.embedding(t["embed.tok"], tokens), t["embed.pos"])
-    for i in range(cfg.num_blocks):
+    for i in range(cfg.blocks):
         p = f"blocks.{i}."
         h = ad.layer_norm(x, t[p + "ln1.g"], t[p + "ln1.b"])
         out = _attention(cfg, t, p, h)
@@ -481,14 +487,16 @@ class ToyModel:
 
     def __init__(
         self,
-        cfg: ModelConfig,
+        cfg: ModelSettings,
+        num_classes: int,
         backbone: Mapping[str, np.ndarray],
         rng: np.random.Generator,
     ):
         self.cfg = cfg
+        self.num_classes = num_classes
         self.backbone = dict(backbone)
         self.adapters: dict[str, TensorizedAdapter] = {}
-        for i in range(cfg.num_blocks):
+        for i in range(cfg.blocks):
             for pos in ("attn", "mlp"):
                 self.adapters[f"blocks.{i}.adapter.{pos}"] = TensorizedAdapter.create(
                     cfg.d_model,
@@ -500,16 +508,16 @@ class ToyModel:
                 )
         if cfg.head_mode == "tensorized":
             self.head = TensorizedLinear.create(
-                cfg.num_classes, cfg.d_model, cfg.tt_rank, rng, bias=True
+                num_classes, cfg.d_model, cfg.tt_rank, rng, bias=True
             )
             self.head_dense: dict[str, np.ndarray] | None = None
         else:
             self.head = None
             self.head_dense = {
                 "w": rng.normal(
-                    0.0, 1.0 / math.sqrt(cfg.d_model), (cfg.d_model, cfg.num_classes)
+                    0.0, 1.0 / math.sqrt(cfg.d_model), (cfg.d_model, num_classes)
                 ),
-                "b": np.zeros(cfg.num_classes),
+                "b": np.zeros(num_classes),
             }
         self._index_params()
 
@@ -552,7 +560,6 @@ class ToyModel:
         self,
         tokens: np.ndarray,
         trainable=None,
-        use_adapters: bool = True,
         per_sample: bool = False,
     ):
         """Logits and the trainables' leaf Tensors; ``per_sample`` gives each
@@ -580,7 +587,7 @@ class ToyModel:
             flat = ad.reshape(x, (b * s, d))
             return ad.reshape(adapter.node(flat, local, groups), (b, s, d))
 
-        pooled = encode(self.cfg, ts, tokens, adapt if use_adapters else None)
+        pooled = encode(self.cfg, ts, tokens, adapt)
         if self.head is not None:
             factor_ts = [
                 param_ts[f"head.f{j}"] for j in range(self.head.weight.chain_length)
@@ -594,8 +601,8 @@ class ToyModel:
             )
         return logits, param_ts
 
-    def logits(self, tokens: np.ndarray, use_adapters: bool = True) -> np.ndarray:
-        out, _ = self._graph(tokens, (), use_adapters)
+    def logits(self, tokens: np.ndarray) -> np.ndarray:
+        out, _ = self._graph(tokens, ())
         return out.data
 
     def loss_and_grads(
@@ -643,25 +650,24 @@ class ToyModel:
 
 
 def pretrain_backbone(
-    cfg: ModelConfig,
+    cfg: ModelSettings,
+    num_classes: int,
     tokens: np.ndarray,
     labels: np.ndarray,
-    steps: int,
-    lr: float,
-    batch_size: int,
     rng: np.random.Generator,
 ) -> dict[str, np.ndarray]:
     """Train backbone + throwaway dense readout centrally, return the backbone."""
     params = init_backbone(cfg, rng)
     params["head.w"] = rng.normal(
-        0.0, 1.0 / math.sqrt(cfg.d_model), (cfg.d_model, cfg.num_classes)
+        0.0, 1.0 / math.sqrt(cfg.d_model), (cfg.d_model, num_classes)
     )
-    params["head.b"] = np.zeros(cfg.num_classes)
-    opt = AdamW(lr=lr)
+    params["head.b"] = np.zeros(num_classes)
+    opt = AdamW(lr=cfg.pretrain_lr)
+    batch_size = cfg.pretrain_batch
     labels = np.asarray(labels)
     order = rng.permutation(len(tokens))
     cursor = 0
-    for _ in range(steps):
+    for _ in range(cfg.pretrain_steps):
         if cursor + batch_size > len(order):
             order = rng.permutation(len(tokens))
             cursor = 0
@@ -672,7 +678,7 @@ def pretrain_backbone(
 
 
 def _pretrain_grads(
-    cfg: ModelConfig,
+    cfg: ModelSettings,
     params: Mapping[str, np.ndarray],
     tokens: np.ndarray,
     labels: np.ndarray,
@@ -692,54 +698,45 @@ def _pretrain_grads(
     }
 
 
-# The ModelConfig fields pretraining reads; adapter and head settings are
+# The ModelSettings fields pretraining reads; adapter and head settings are
 # not among them, so configs differing only there share one backbone.
 _BACKBONE_FIELDS = (
     "vocab_size",
     "seq_len",
     "d_model",
-    "num_blocks",
-    "num_heads",
+    "blocks",
+    "heads",
     "mlp_hidden",
-    "num_classes",
+    "backbone_seed",
+    "pretrain_steps",
+    "pretrain_lr",
+    "pretrain_batch",
+    "pretrain_per_class",
 )
 
 
-def get_pretrained_backbone(
-    cfg: ModelConfig,
-    per_class: int,
-    steps: int,
-    lr: float,
-    batch_size: int,
-    seed: int,
-) -> Mapping[str, np.ndarray]:
+def get_pretrained_backbone(cfg: ModelSettings, num_classes: int) -> Mapping[str, np.ndarray]:
     """Backbone shared by every experiment with these settings.
 
     Seed-pinned: the pretraining corpus and the init both derive from
-    ``seed`` alone, so runs with different experiment seeds reuse one
-    backbone.  The cache is keyed on the backbone's own fields of ``cfg``
-    and the pretraining arguments.  Returned arrays are frozen read-only.
+    ``cfg.backbone_seed`` alone, so runs with different experiment seeds
+    reuse one backbone.  The cache is keyed on the backbone's own fields of
+    ``cfg`` and ``num_classes``.  Returned arrays are frozen read-only.
     """
-    key = ModelConfig(**{f: getattr(cfg, f) for f in _BACKBONE_FIELDS})
-    return _pretrained_backbone(key, per_class, steps, lr, batch_size, seed)
+    key = ModelSettings(**{f: getattr(cfg, f) for f in _BACKBONE_FIELDS})
+    return _pretrained_backbone(key, num_classes)
 
 
 @lru_cache(maxsize=8)
-def _pretrained_backbone(
-    cfg: ModelConfig,
-    per_class: int,
-    steps: int,
-    lr: float,
-    batch_size: int,
-    seed: int,
-) -> Mapping[str, np.ndarray]:
+def _pretrained_backbone(cfg: ModelSettings, num_classes: int) -> Mapping[str, np.ndarray]:
     from .data import generate_corpus
 
-    corpus = generate_corpus(cfg.num_classes, per_class, cfg.seq_len, cfg.vocab_size, seed)
-    rng = np.random.default_rng((seed, 1))
-    backbone = pretrain_backbone(
-        cfg, corpus.tokens, corpus.labels, steps, lr, batch_size, rng
+    seed = cfg.backbone_seed
+    corpus = generate_corpus(
+        num_classes, cfg.pretrain_per_class, cfg.seq_len, cfg.vocab_size, seed
     )
+    rng = np.random.default_rng((seed, 1))
+    backbone = pretrain_backbone(cfg, num_classes, corpus.tokens, corpus.labels, rng)
     for arr in backbone.values():
         arr.flags.writeable = False
     _trim_heap()

@@ -209,7 +209,7 @@ def test_criterion_06_single_client_is_centralized():
                           batch_size=8, lr=3e-3)
     metrics, final = run_training(cfg)
 
-    mc = cfg.model.to_model_config(cfg.data.classes)
+    mc = cfg.model
     corpus_ss, part_ss, _, init_ss, client_ss = _seed_tree(cfg.seed, 1)
     full = generate_corpus(cfg.data.classes,
                            cfg.data.per_class + cfg.data.eval_per_class,
@@ -217,10 +217,8 @@ def test_criterion_06_single_client_is_centralized():
     tr, _ = _split_eval(full, cfg.data.per_class, cfg.data.eval_per_class)
     train = Corpus(full.tokens[tr], full.labels[tr], full.num_classes, full.vocab_size)
     shard = partition(train, PartitionSpec("iid", 1), part_ss)[0]
-    backbone = get_pretrained_backbone(
-        mc, cfg.model.pretrain_per_class, cfg.model.pretrain_steps,
-        cfg.model.pretrain_lr, cfg.model.pretrain_batch, cfg.model.backbone_seed)
-    model = ToyModel(mc, backbone, np.random.default_rng(init_ss))
+    backbone = get_pretrained_backbone(mc, cfg.data.classes)
+    model = ToyModel(mc, cfg.data.classes, backbone, np.random.default_rng(init_ss))
     opt = AdamW(lr=cfg.fed.lr, weight_decay=cfg.fed.weight_decay)
     batch_rng = np.random.default_rng(client_ss[0][0])
     tokens, labels = train.tokens[shard], train.labels[shard]

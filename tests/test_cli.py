@@ -133,6 +133,42 @@ def test_fedtt_plus_on_two_core_chains_exits_1_before_pretraining(tmp_path, caps
     assert not (tmp_path / "x").exists()
 
 
+@pytest.fixture
+def no_pretraining(monkeypatch):
+    def fail(*args):
+        raise AssertionError("pretrained for a config that cannot run")
+
+    monkeypatch.setattr("fedtt.fed.get_pretrained_backbone", fail)
+
+
+POSITIVE_MODEL_KEYS = ("vocab_size", "seq_len", "d_model", "blocks", "heads",
+                       "mlp_hidden", "bottleneck", "tt_rank", "pretrain_batch",
+                       "pretrain_per_class")
+
+
+@pytest.mark.parametrize("key,value", [(k, 0) for k in POSITIVE_MODEL_KEYS]
+                         + [("heads", 3), ("vocab_size", 1)])
+def test_bad_model_value_exits_1_naming_its_key(tmp_path, capsys, no_pretraining,
+                                                key, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"model.{key} = {value}\n")
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"model.{key}" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_unsatisfiable_proportions_exit_1_before_pretraining(tmp_path, capsys,
+                                                             no_pretraining):
+    bad = tmp_path / "greedy.cfg"
+    bad.write_text("fed.num_clients = 2\ndata.partition = proportions\n"
+                   "data.proportions = 1,0;1,0\n")
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: data.proportions: ") and "class 0" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_divergent_run_exits_2(tmp_path, capsys):
     cfg_path, _ = write_cfg(tmp_path, seed=5, rounds=2, local_updates=3,
                             lr=1e9, weight_decay=1e9)

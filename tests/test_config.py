@@ -1,7 +1,7 @@
 """Config file parsing, validation, and round-tripping."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -248,6 +248,23 @@ def test_fedtt_plus_on_two_core_chains_fails_before_pretraining(monkeypatch):
     monkeypatch.setattr("fedtt.fed.get_pretrained_backbone", no_pretraining)
     with pytest.raises(ValueError, match="fedtt_plus needs adapter chains of length >= 3"):
         RunConfig(model=ModelSettings(bottleneck=1), fed=FedConfig(algorithm="fedtt_plus"))
+
+
+def test_unsatisfiable_proportions_fail_before_pretraining(monkeypatch):
+    def no_pretraining(*args):
+        raise AssertionError("pretrained for a config that cannot run")
+
+    monkeypatch.setattr("fedtt.fed.get_pretrained_backbone", no_pretraining)
+    # two clients of 400 each want class 0, which holds data.per_class = 400
+    greedy = DataSettings(partition="proportions", proportions=((1.0, 0.0), (1.0, 0.0)))
+    with pytest.raises(ValueError, match="data.proportions: .*800 examples of class 0"):
+        RunConfig(fed=FedConfig(num_clients=2), data=greedy)
+    with pytest.raises(ConfigError, match="data.proportions: .*class 0"):
+        parse_config_text("fed.num_clients = 2\ndata.partition = proportions\n"
+                          "data.proportions = 1,0;1,0\n")
+    # demand equal to the supply is fine
+    RunConfig(fed=FedConfig(num_clients=2),
+              data=replace(greedy, proportions=((1.0, 0.0), (0.0, 1.0))))
 
 
 def test_float_keys_include_every_rate_and_dp_setting():

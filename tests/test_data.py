@@ -12,6 +12,7 @@ from fedtt.data import (
     _largest_remainder,
     generate_corpus,
     partition,
+    proportion_counts,
 )
 
 
@@ -139,6 +140,13 @@ def test_proportions_partition_matches_requested_mix(corpus):
         got = np.bincount(corpus.labels[s], minlength=2)
         want = _largest_remainder(sizes[i], spec.proportions[i])
         assert got.tolist() == want
+
+
+def test_proportion_counts_are_the_shards_class_counts(corpus):
+    rows = ((0.9, 0.1), (0.1, 0.9), (0.5, 0.5))
+    shards = partition(corpus, PartitionSpec("proportions", 3, proportions=rows), seed=2)
+    got = [np.bincount(corpus.labels[s], minlength=2).tolist() for s in shards]
+    assert got == proportion_counts(len(corpus), rows)
 
 
 def test_proportions_partition_rejects_depleted_class(corpus):

@@ -8,7 +8,7 @@ from fedtt.errors import NumericalError
 from fedtt.nn import (
     AdamW,
     DenseAdapter,
-    ModelConfig,
+    ModelSettings,
     TensorizedAdapter,
     TensorizedLinear,
     ToyModel,
@@ -19,16 +19,15 @@ from fedtt.nn import (
     tt_linear_node,
 )
 from fedtt import autodiff as ad
-from fedtt import tt
+from fedtt import nn, tt
 from fedtt.fed import trainable_names
 from fedtt.tt import reconstruct
 
 from conftest import TINY_MODEL, tiny_run_config
 
 
-def tiny_model_config(**overrides) -> ModelConfig:
-    cfg = tiny_run_config(**overrides)
-    return cfg.model.to_model_config(cfg.data.classes)
+def tiny_model_config(**overrides) -> ModelSettings:
+    return tiny_run_config(**overrides).model
 
 
 def randomize_adapter(adapter: TensorizedAdapter, rng) -> None:
@@ -138,7 +137,7 @@ def test_model_first_adapter_map_gets_no_dx(small_setup, monkeypatch):
     # The block-0 attention adapter's down map reads only the frozen
     # backbone, so its input requires no grad and its dX is never formed.
     cfg, backbone, corpus = small_setup
-    model = ToyModel(cfg, backbone, np.random.default_rng(0))
+    model = ToyModel(cfg, 2, backbone, np.random.default_rng(0))
     calls = []  # (weight, dX) per tt_vjp call
     vjp = tt.tt_vjp
 
@@ -299,24 +298,24 @@ def test_adamw_rejects_non_finite_grads():
         opt.step({"a": np.ones(2)}, {"a": np.array([1.0, np.nan])})
 
 
-# ------------------------------------------------------------- ModelConfig
+# ----------------------------------------------------------- ModelSettings
 
 
 def test_model_config_validation():
     with pytest.raises(ValueError):
-        ModelConfig(num_heads=3, d_model=64)  # heads must divide width
+        ModelSettings(heads=3, d_model=64)  # heads must divide width
     with pytest.raises(ValueError):
-        ModelConfig(head_mode="banana")
+        ModelSettings(head_mode="banana")
     with pytest.raises(ValueError):
-        ModelConfig(activation="sigmoidish")
+        ModelSettings(activation="sigmoidish")
     with pytest.raises(ValueError):
-        ModelConfig(vocab_size=0)
+        ModelSettings(vocab_size=0)
 
 
 def test_adapter_chain_length_property():
     cfg = tiny_model_config()
     model = ToyModel(
-        cfg, init_backbone(cfg, np.random.default_rng(0)), np.random.default_rng(1)
+        cfg, 2, init_backbone(cfg, np.random.default_rng(0)), np.random.default_rng(1)
     )
     assert {len(chain) for chain in model.adapter_cores} == {cfg.adapter_chain_length}
 
@@ -334,7 +333,7 @@ def small_setup():
 
 def test_model_param_naming_and_meta(small_setup):
     cfg, backbone, _ = small_setup
-    model = ToyModel(cfg, backbone, np.random.default_rng(0))
+    model = ToyModel(cfg, 2, backbone, np.random.default_rng(0))
     names = list(model.trainables())
     assert names[0].startswith("blocks.0.adapter.attn.down.f")
     assert "head.bias" in names
@@ -347,17 +346,22 @@ def test_model_param_naming_and_meta(small_setup):
     assert cores == {n for n in names if ".adapter." in n and not n.endswith(".bias")}
 
 
-def test_model_zero_init_adapters_are_transparent(small_setup):
+def test_model_zero_init_adapters_are_transparent(small_setup, monkeypatch):
     cfg, backbone, corpus = small_setup
-    model = ToyModel(cfg, backbone, np.random.default_rng(0))
+    model = ToyModel(cfg, 2, backbone, np.random.default_rng(0))
     tok = corpus.tokens[:6]
-    assert np.array_equal(model.logits(tok, use_adapters=True),
-                          model.logits(tok, use_adapters=False))
+    with_adapters = model.logits(tok)
+    encode = nn.encode
+    # the reference: the same model with no adapter spliced in
+    monkeypatch.setattr(
+        nn, "encode", lambda cfg, t, tokens, adapt=None: encode(cfg, t, tokens)
+    )
+    assert np.array_equal(with_adapters, model.logits(tok))
 
 
 def test_model_set_get_trainables_round_trip(small_setup):
     cfg, backbone, _ = small_setup
-    model = ToyModel(cfg, backbone, np.random.default_rng(0))
+    model = ToyModel(cfg, 2, backbone, np.random.default_rng(0))
     snap = model.get_trainables()
     for arr in model.trainables().values():
         arr += 1.0
@@ -370,7 +374,7 @@ def test_model_set_get_trainables_round_trip(small_setup):
 
 def test_model_loss_grads_match_fd(small_setup):
     cfg, backbone, corpus = small_setup
-    model = ToyModel(cfg, backbone, np.random.default_rng(0))
+    model = ToyModel(cfg, 2, backbone, np.random.default_rng(0))
     rng = np.random.default_rng(3)
     for adapter in model.adapters.values():
         randomize_adapter(adapter, rng)
@@ -393,7 +397,7 @@ def test_model_loss_grads_match_fd(small_setup):
 
 def test_model_selected_names_filter_grads(small_setup):
     cfg, backbone, corpus = small_setup
-    model = ToyModel(cfg, backbone, np.random.default_rng(0))
+    model = ToyModel(cfg, 2, backbone, np.random.default_rng(0))
     keep = ["head.bias", "blocks.0.adapter.attn.down.f0"]
     _, grads = model.loss_and_grads(corpus.tokens[:4], corpus.labels[:4], keep)
     assert set(grads) == set(keep)
@@ -406,7 +410,7 @@ def test_model_keeps_no_frozen_state_between_calls(small_setup):
     cfg = replace(cfg, bottleneck=24)  # 4-core chains: fedtt_plus freezes one
 
     def model():
-        m = ToyModel(cfg, backbone, np.random.default_rng(0))
+        m = ToyModel(cfg, 2, backbone, np.random.default_rng(0))
         rng = np.random.default_rng(5)
         for adapter in m.adapters.values():
             randomize_adapter(adapter, rng)
@@ -426,7 +430,7 @@ def test_model_keeps_no_frozen_state_between_calls(small_setup):
 
 def test_model_rejects_bad_tokens(small_setup):
     cfg, backbone, corpus = small_setup
-    model = ToyModel(cfg, backbone, np.random.default_rng(0))
+    model = ToyModel(cfg, 2, backbone, np.random.default_rng(0))
     bad = corpus.tokens[:2].copy()
     bad[0, 0] = cfg.vocab_size  # out of vocabulary
     with pytest.raises(ValueError):
@@ -437,7 +441,7 @@ def test_model_rejects_bad_tokens(small_setup):
 
 def test_model_evaluate_matches_direct_computation(small_setup):
     cfg, backbone, corpus = small_setup
-    model = ToyModel(cfg, backbone, np.random.default_rng(0))
+    model = ToyModel(cfg, 2, backbone, np.random.default_rng(0))
     tok, lab = corpus.tokens[:17], corpus.labels[:17]
     loss, acc = model.evaluate(tok, lab, batch_size=5)
     out = model.logits(tok)
@@ -456,7 +460,7 @@ def test_logits_record_no_tape_and_match_the_training_graph(
     cfg, backbone, corpus = small_setup
     from dataclasses import replace
 
-    model = ToyModel(replace(cfg, head_mode=head_mode), backbone,
+    model = ToyModel(replace(cfg, head_mode=head_mode), 2, backbone,
                      np.random.default_rng(0))
     rng = np.random.default_rng(4)
     for adapter in model.adapters.values():
@@ -481,7 +485,7 @@ def test_dense_head_mode(small_setup):
     from dataclasses import replace
 
     dcfg = replace(cfg, head_mode="dense")
-    model = ToyModel(dcfg, backbone, np.random.default_rng(0))
+    model = ToyModel(dcfg, 2, backbone, np.random.default_rng(0))
     assert "head.w" in model.trainables() and "head.b" in model.trainables()
     loss, grads = model.loss_and_grads(corpus.tokens[:4], corpus.labels[:4])
     assert grads["head.w"].any()
@@ -492,7 +496,7 @@ def test_dense_head_mode(small_setup):
 
 def head_probe_loss(cfg, backbone, corpus, steps=30) -> float:
     """Fit only the head on frozen features; the final loss scores the features."""
-    model = ToyModel(cfg, backbone, np.random.default_rng(1))
+    model = ToyModel(cfg, 2, backbone, np.random.default_rng(1))
     head_names = [n for n in model.trainables() if n.startswith("head.")]
     opt = AdamW(lr=3e-2)
     for _ in range(steps):
@@ -503,11 +507,14 @@ def head_probe_loss(cfg, backbone, corpus, steps=30) -> float:
 
 
 def test_pretrain_features_beat_random_features():
+    from dataclasses import replace
+
     cfg = tiny_model_config()
     corpus = generate_corpus(2, 60, cfg.seq_len, cfg.vocab_size, 21)
     backbone_cold = init_backbone(cfg, np.random.default_rng(7))
     backbone_warm = pretrain_backbone(
-        cfg, corpus.tokens, corpus.labels, 150, 1e-3, 16, np.random.default_rng(7)
+        replace(cfg, pretrain_steps=150, pretrain_lr=1e-3, pretrain_batch=16), 2,
+        corpus.tokens, corpus.labels, np.random.default_rng(7),
     )
     assert "head.w" not in backbone_warm  # readout is discarded
     assert set(backbone_warm) == set(backbone_cold)
@@ -517,42 +524,31 @@ def test_pretrain_features_beat_random_features():
 
 
 def test_pretrained_backbone_cache_and_determinism():
-    m = dict(TINY_MODEL)
-    cfg = tiny_run_config().model.to_model_config(2)
-    a = get_pretrained_backbone(
-        cfg, m["pretrain_per_class"], m["pretrain_steps"], 1e-3,
-        m["pretrain_batch"], 7,
-    )
-    b = get_pretrained_backbone(
-        cfg, m["pretrain_per_class"], m["pretrain_steps"], 1e-3,
-        m["pretrain_batch"], 7,
-    )
+    cfg = tiny_run_config().model  # pretrain_lr 1e-3, backbone_seed 7
+    a = get_pretrained_backbone(cfg, 2)
+    b = get_pretrained_backbone(cfg, 2)
     assert a is b  # cached
     assert all(not arr.flags.writeable for arr in a.values())
     get_pretrained_backbone.cache_clear()
-    c = get_pretrained_backbone(
-        cfg, m["pretrain_per_class"], m["pretrain_steps"], 1e-3,
-        m["pretrain_batch"], 7,
-    )
+    c = get_pretrained_backbone(cfg, 2)
     for k in a:
         assert np.array_equal(a[k], c[k]), k
 
 
 def test_pretrained_backbone_cache_ignores_adapter_fields():
     m = dict(TINY_MODEL)
-    args = (m["pretrain_per_class"], m["pretrain_steps"], 1e-3, m["pretrain_batch"], 7)
     base = tiny_model_config()
     other = tiny_model_config(bottleneck=24, tt_rank=2, head_mode="dense",
                               adapter_bias=False, activation="tanh")
     get_pretrained_backbone.cache_clear()
-    a = get_pretrained_backbone(base, *args)
-    b = get_pretrained_backbone(other, *args)
+    a = get_pretrained_backbone(base, 2)
+    b = get_pretrained_backbone(other, 2)
     assert get_pretrained_backbone.cache_info().misses == 1
     assert a is b
-    corpus = generate_corpus(base.num_classes, m["pretrain_per_class"],
+    corpus = generate_corpus(2, m["pretrain_per_class"],
                              base.seq_len, base.vocab_size, 7)
-    cold = pretrain_backbone(other, corpus.tokens, corpus.labels, m["pretrain_steps"],
-                             1e-3, m["pretrain_batch"], np.random.default_rng((7, 1)))
+    cold = pretrain_backbone(other, 2, corpus.tokens, corpus.labels,
+                             np.random.default_rng((7, 1)))
     assert set(cold) == set(a)
     for k in cold:
         assert np.array_equal(a[k], cold[k]), k

@@ -139,9 +139,9 @@ def test_grouped_vjp_rejects_uneven_groups(rng):
 
 def random_model(seed: int, **cfg) -> ToyModel:
     """A tiny model whose trainables are all random, so no grad is zero."""
-    mc = replace(tiny_run_config().model.to_model_config(3), **cfg)
+    mc = replace(tiny_run_config().model, **cfg)
     rng = np.random.default_rng(seed)
-    model = ToyModel(mc, init_backbone(mc, rng), rng)
+    model = ToyModel(mc, 3, init_backbone(mc, rng), rng)
     model.set_trainables({
         k: rng.normal(scale=0.3, size=v.shape) for k, v in model.trainables().items()
     })
@@ -152,7 +152,7 @@ def batch(model: ToyModel, b: int, seed: int):
     rng = np.random.default_rng(seed)
     cfg = model.cfg
     tokens = rng.integers(0, cfg.vocab_size, size=(b, cfg.seq_len))
-    return tokens, rng.integers(0, cfg.num_classes, size=b)
+    return tokens, rng.integers(0, model.num_classes, size=b)
 
 
 def assert_matches_loop(model: ToyModel, tokens, labels, names=None) -> None:
